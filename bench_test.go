@@ -156,49 +156,23 @@ func BenchmarkFigure8AuctionN(b *testing.B) {
 
 // --- Naive vs cached subset enumeration ------------------------------------
 
-// BenchmarkRobustSubsets compares three generations of the SmallBank
+// BenchmarkRobustSubsets compares two generations of the SmallBank
 // subset enumeration, per setting:
 //
 //	naive   — the pre-refactor path: re-unfold and re-run Algorithm 1 for
 //	          each of the 2^n − 1 subsets
-//	cached  — the incremental engine's flat fan-out (DisablePruning):
-//	          unfold once, cache pairwise edge blocks, run the cycle
-//	          detector on every subset over a worker pool
-//	pruned  — the lattice-pruned traversal (the default path): level-order
-//	          by subset size, minimal non-robust cores decide supersets by
-//	          bitset containment, the universe detector and the core store
+//	pruned  — the engine's lattice walk: level-order by subset size,
+//	          minimal non-robust cores decide supersets by bitset
+//	          containment, the universe detector and the core store
 //	          persist in the warm session across iterations
 //
-// cached-sequential isolates the worker-pool contribution of the flat
-// path. The verdict identity of all paths is asserted in
-// internal/analysis (pruned vs flat vs naive oracle across 3 benchmarks ×
-// 4 settings × 2 methods); here only the cost differs. CI uploads these
-// as trend data with a speedup_vs field comparing pruned against cached
-// (cmd/benchjson -speedup).
+// The verdict identity of both paths is asserted in internal/analysis
+// (engine vs naive oracle across 3 benchmarks × 4 settings × 2 methods,
+// plus random selections and random workloads); here only the cost
+// differs. CI uploads these as trend data with a speedup_vs field
+// comparing pruned against naive (cmd/benchjson -speedup).
 func BenchmarkRobustSubsets(b *testing.B) {
 	bench := benchmarks.SmallBank()
-	run := func(configure func(*robust.Checker)) func(b *testing.B, setting summary.Setting) {
-		return func(b *testing.B, setting summary.Setting) {
-			checker := robust.NewChecker(bench.Schema)
-			checker.Setting = setting
-			configure(checker)
-			// One priming enumeration before the timer: these variants
-			// measure the warm steady state (blocks cached; for pruned,
-			// cores and covers seeded), so CI's -benchtime=1x samples the
-			// same regime as a long run instead of the one-off cold start
-			// (which BenchmarkServerThroughput's cold cases cover).
-			if _, err := checker.RobustSubsets(bench.Programs); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := checker.RobustSubsets(bench.Programs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
 	variants := []struct {
 		name string
 		run  func(b *testing.B, setting summary.Setting)
@@ -214,9 +188,26 @@ func BenchmarkRobustSubsets(b *testing.B) {
 				}
 			}
 		}},
-		{"cached", run(func(c *robust.Checker) { c.DisablePruning = true })},
-		{"cached-sequential", run(func(c *robust.Checker) { c.DisablePruning = true; c.Parallelism = 1 })},
-		{"pruned", run(func(c *robust.Checker) {})},
+		{"pruned", func(b *testing.B, setting summary.Setting) {
+			checker := robust.NewChecker(bench.Schema)
+			checker.Setting = setting
+			// One priming enumeration before the timer: this variant
+			// measures the warm steady state (blocks cached, cores and
+			// covers seeded), so CI's -benchtime=1x samples the same
+			// regime as a long run instead of the one-off cold start
+			// (which pruned-cold and BenchmarkServerThroughput's cold
+			// cases cover).
+			if _, err := checker.RobustSubsets(bench.Programs); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := checker.RobustSubsets(bench.Programs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 	}
 	for _, v := range variants {
 		for _, setting := range summary.AllSettings {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	go test -bench . -benchtime=1x -count=3 | benchjson -out bench.json
-//	go test -bench . | benchjson -speedup 'Foo/pruned=Foo/cached'
+//	go test -bench . | benchjson -speedup 'Foo/pruned=Foo/naive'
 //
 // Every benchmark result line becomes one entry — repeated names (from
 // -count) are kept as separate entries, since the spread between them is
@@ -19,7 +19,7 @@
 // contains the `new` fragment and whose counterpart (the name with the
 // fragment replaced by `baseline`) was also measured, it emits the ratio
 // of mean ns/op — baseline over new, so values above 1 mean the new path
-// is faster. CI uses this to record the pruned-vs-cached enumeration
+// is faster. CI uses this to record the pruned-vs-naive enumeration
 // speedup in the uploaded artifact without gating on absolute timings.
 //
 // -baseline and -gate turn the tool into a regression gate: -baseline

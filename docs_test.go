@@ -63,8 +63,9 @@ func TestDocsMentionCode(t *testing.T) {
 		"NaiveRobustSubsets", "last_parallelism",
 		"internal/snapshot", "SizeBytes", "result_cache",
 		"-state-dir", "-max-bytes", "evictions_bytes",
-		"CoreSet", "CoverSet", "WitnessMask", "subsets_pruned",
-		"DisablePruning", "typeIIParallel", "RobustWith",
+		"CoreSet", "CoverSet", "subsets_pruned",
+		"typeIIParallel", "RobustWith",
+		"MaxSubsetPrograms", "too_many_programs", "TestWalkRandomWorkloads",
 		"-flush-interval", "Server.Flush",
 		"RobustSubsetsStream", "subsets:stream", "first_non_robust",
 		"StreamSummary", "streamed_requests", "sched_checked",

@@ -2,51 +2,26 @@ package analysis
 
 import (
 	"context"
-	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"repro/internal/btp"
-	"repro/internal/obs"
 	"repro/internal/summary"
 )
 
-// This file is the lattice-pruned subset enumeration: a level-order
-// traversal of the subset lattice by subset size that exploits the
-// monotonicity of non-robustness. A dangerous cycle witnessed in a subset's
-// induced summary graph survives verbatim in every superset (adding nodes
-// only adds edges and reachability), so once a subset is known non-robust,
-// every superset is non-robust too. The traversal records each non-robust
-// discovery as a *minimal non-robust core* — the witness cycle's node mask,
-// minimized to exact program-level minimality — and decides supersets by an
-// O(#cores) bitset-containment scan (summary.CoreSet) instead of running
-// the detector at all.
-//
-// Processing strictly by subset size makes the pruning complete and
-// deterministic: at the start of level k the shared core set holds exactly
-// the minimal non-robust program sets of size < k (plus any seeds), so
-// every non-robust mask with a non-robust proper subset is pruned, every
-// mask the detector does see and rejects is itself minimal, and the pruned
-// count is independent of worker count or scheduling. Cores discovered
-// within a level have size k and therefore cannot prune other size-k masks,
-// which is why intra-level publication (lock-free, epoch-snapshotted) is
-// harmless for determinism while still letting racing enumerations on a
-// shared session benefit from each other through the session store.
-//
-// Cores are facts about program *content*: "these programs are jointly
+// This file is the fact store behind the lattice walk (walk.go). Cores
+// are facts about program *content*: "these programs are jointly
 // non-robust under this (setting, method, bound), and minimally so" —
 // independent of which enumeration discovered them. The session therefore
 // keeps them per coreKey as program-pointer sets, seeds every enumeration
 // whose request covers a core's programs, and merges fresh discoveries
 // back, so a warm session prunes every non-robust subset without a single
-// detector run. Session.Invalidate drops exactly the cores (and memoized
-// universe detectors) touching the invalidated program — the incremental
-// half the server's PATCH path relies on.
+// detector run. Robust covers are kept the same way. Session.Invalidate
+// drops exactly the cores (and memoized universe detectors) touching the
+// invalidated program — the incremental half the server's PATCH path
+// relies on.
 
 // coreKey identifies one core store: cores depend on the analysis setting,
 // the cycle condition and the unfold bound, never on the program selection.
@@ -155,9 +130,9 @@ func (l *factLog) append(fact []*btp.Program, gen uint64, cert bool) {
 // seeding it from the session's fact store on first use and feeding it
 // only the facts newer than its synced generation (idempotent Adds) when
 // the store generation moved.
-func (s *Session) latticeFor(cfg Config, programs []*btp.Program, programMask [][]uint64, words int) *latticeEntry {
+func (s *Session) latticeFor(cfg Config, progs string, programs []*btp.Program, programMask [][]uint64, words int) *latticeEntry {
 	ck := coreKey{setting: cfg.Setting, method: cfg.Method, bound: cfg.bound()}
-	key := latticeKey{core: ck, progs: progsKey(programs)}
+	key := latticeKey{core: ck, progs: progs}
 	s.mu.Lock()
 	gen := s.coreGen[ck]
 	e, ok := s.lattices[key]
@@ -645,8 +620,8 @@ func restampCertified(log *factLog, i int) *factLog {
 // indexes the composed universe graph once; verdicts never depend on cache
 // contents, so a straggler using a just-invalidated detector is correct,
 // merely cold next time.
-func (s *Session) subsetDetector(ctx context.Context, cfg Config, programs []*btp.Program, all []*btp.LTP) (*summary.SubsetDetector, error) {
-	key := detKey{setting: cfg.Setting, bound: cfg.bound(), progs: progsKey(programs)}
+func (s *Session) subsetDetector(ctx context.Context, cfg Config, progs string, programs []*btp.Program, all []*btp.LTP) (*summary.SubsetDetector, error) {
+	key := detKey{setting: cfg.Setting, bound: cfg.bound(), progs: progs}
 	s.mu.Lock()
 	if e, ok := s.dets[key]; ok {
 		s.mu.Unlock()
@@ -706,286 +681,4 @@ func programMasks(groups [][]*btp.LTP, words int) [][]uint64 {
 		out[i] = m
 	}
 	return out
-}
-
-// latticeOrder buckets the non-empty subset masks of an n-program lattice
-// by popcount (counting sort): order[offs[k]:offs[k+1]] holds the size-k
-// masks in ascending mask order.
-func latticeOrder(n int) (offs []int, order []int32) {
-	total := 1 << n
-	counts := make([]int, n+1)
-	for mask := 1; mask < total; mask++ {
-		counts[bits.OnesCount32(uint32(mask))]++
-	}
-	offs = make([]int, n+2)
-	for k := 1; k <= n; k++ {
-		offs[k+1] = offs[k] + counts[k]
-	}
-	pos := make([]int, n+2)
-	copy(pos, offs)
-	order = make([]int32, total-1)
-	for mask := 1; mask < total; mask++ {
-		k := bits.OnesCount32(uint32(mask))
-		order[pos[k]] = int32(mask)
-		pos[k]++
-	}
-	return offs, order
-}
-
-// minimizeCore reduces a witness node mask to a program-level minimal
-// non-robust core without running the detector: every trial (the witness
-// programs minus one) is a strict submask of the current subset and was
-// therefore decided at an earlier level — its verdict is already in the
-// traversal's verdict table. Greedily dropping, in ascending program
-// order, every program whose removal leaves a non-robust verdict yields a
-// minimal set (one fixed-order pass suffices for monotone properties). In
-// a fully cold traversal the witness programs are provably minimal already
-// and every trial reads robust; the lookups also keep the general path —
-// seeds from other universes or imported non-minimal facts — honest, at
-// the cost of bit operations instead of closure recomputations.
-func minimizeCore(verdicts []bool, wmask []uint64, programMask [][]uint64) []uint64 {
-	progs := 0
-	for i, pm := range programMask {
-		if intersects(pm, wmask) {
-			progs |= 1 << i
-		}
-	}
-	for i := 0; i < len(programMask); i++ {
-		if progs&(1<<i) == 0 {
-			continue
-		}
-		if trial := progs &^ (1 << i); trial != 0 && !verdicts[trial] {
-			progs = trial
-		}
-	}
-	core := make([]uint64, len(wmask))
-	for i, pm := range programMask {
-		if progs&(1<<i) != 0 {
-			orInto(core, pm)
-		}
-	}
-	return core
-}
-
-// latticeSeqChunk is how many sequential masks are processed between
-// context polls; latticeParallelMin is the level size below which the
-// level runs inline — goroutine handoff costs more than a few dozen
-// detector calls, and the paper's benchmarks (n ≤ 9) never leave the
-// inline regime.
-const (
-	latticeSeqChunk    = 64
-	latticeParallelMin = 64
-)
-
-// latticeWorker is one traversal worker's reusable state; the detector
-// scratch stays nil until the worker actually runs the detector.
-type latticeWorker struct {
-	scratch *summary.DetectScratch
-	members []uint64
-}
-
-// enumerateLattice is the level-order traversal behind RobustSubsetsCtx
-// (pruning enabled). See the file comment for the invariants.
-func (s *Session) enumerateLattice(ctx context.Context, det *summary.SubsetDetector, groups [][]*btp.LTP, programs []*btp.Program, cfg Config) (*SubsetReport, error) {
-	n := len(programs)
-	words := (det.NumNodes() + 63) / 64
-	programMask := programMasks(groups, words)
-	entry := s.latticeFor(cfg, programs, programMask, words)
-	cores, covers := entry.cores, entry.covers
-
-	total := 1 << n
-	verdicts := make([]bool, total)
-	offs, order := latticeOrder(n)
-	var coreHits, coverHits, misses atomic.Uint64
-	var discovered, freshRobust atomic.Bool
-	// Merge discoveries back into the fact store however the traversal
-	// exits: a cancelled run's cores and covers are valid facts, and
-	// leaving them only in the cached entry would strand them — the retry
-	// would be decided by the entry's unmerged masks, never re-discover
-	// them, and the store (and with it persistence and /v1/stats) would
-	// stay empty. A run whose every Add was refused as dominated has
-	// nothing the store lacks and skips the merge.
-	defer func() {
-		if discovered.Load() {
-			s.mergeLattice(cfg, entry, programs, programMask)
-		}
-	}()
-
-	// process decides one mask on a worker's state: the core scan
-	// (non-robust supersets) and the cover scan (robust subsets) first,
-	// the detector only when neither knows, witness minimization on a
-	// fresh non-robust discovery. The detector scratch is allocated on
-	// first actual detector run — a fully warm traversal (every mask
-	// decided by containment) allocates none.
-	process := func(mask int, ws *latticeWorker) {
-		members := ws.members
-		for w := range members {
-			members[w] = 0
-		}
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				orInto(members, programMask[i])
-			}
-		}
-		if cores.Snapshot().Contains(members) {
-			coreHits.Add(1)
-			return // verdicts[mask] stays false: a core means non-robust
-		}
-		if covers.Snapshot().Covers(members) {
-			coverHits.Add(1)
-			verdicts[mask] = true
-			return
-		}
-		misses.Add(1)
-		if ws.scratch == nil {
-			ws.scratch = det.NewScratch()
-		}
-		var t0 time.Time
-		if tr := cfg.Tracer; tr != nil {
-			t0 = time.Now()
-		}
-		ok, wmask := det.RobustWitness(cfg.Method, members, ws.scratch)
-		if tr := cfg.Tracer; tr != nil {
-			tr.Span(obs.PhaseDetect, time.Since(t0))
-		}
-		verdicts[mask] = ok
-		if ok {
-			freshRobust.Store(true)
-			// Robust verdicts are folded into the cover set after the
-			// traversal: covers can never fire within the run that found
-			// them (stored covers are smaller than the masks still to
-			// come), and a post-pass in descending size order pays one
-			// antichain insert per maximal cover instead of a
-			// copy-on-write add per robust mask.
-			return
-		}
-		if cores.Add(minimizeCore(verdicts, wmask, programMask)) {
-			discovered.Store(true)
-		}
-	}
-
-	workers := cfg.parallelism()
-	seq := &latticeWorker{members: getMask(words)}
-	defer putMask(seq.members)
-	for level := 1; level <= n; level++ {
-		var levelStart time.Time
-		if tr := cfg.Tracer; tr != nil {
-			levelStart = time.Now()
-		}
-		masks := order[offs[level]:offs[level+1]]
-		lw := workers
-		if lw > len(masks) {
-			lw = len(masks)
-		}
-		if len(masks) < latticeParallelMin {
-			lw = 1
-		}
-		if lw <= 1 {
-			for c, mask := range masks {
-				if c%latticeSeqChunk == 0 && ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				process(int(mask), seq)
-			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			errs := make([]error, lw)
-			for w := 0; w < lw; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					defer capturePanic(&errs[w])
-					ws := &latticeWorker{members: getMask(words)}
-					defer putMask(ws.members)
-					for ctx.Err() == nil {
-						start := int(next.Add(latticeSeqChunk)) - latticeSeqChunk
-						if start >= len(masks) {
-							return
-						}
-						for _, mask := range masks[start:min(start+latticeSeqChunk, len(masks))] {
-							process(int(mask), ws)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		// The level barrier: supersets are only examined once every smaller
-		// mask's verdict (and core) is published. It is also the pruning's
-		// determinism and completeness argument, so it must not be elided.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if tr := cfg.Tracer; tr != nil {
-			tr.Span(obs.PhaseLatticeLevel, time.Since(levelStart))
-		}
-	}
-
-	// Fold this run's robust verdicts into the cover set, largest masks
-	// first: maximal covers insert, everything they dominate is refused by
-	// an early-exit scan. Only the success path runs this — a cancelled
-	// run's partial levels may hold undecided masks — while cores (already
-	// added at discovery, where minimality is known) reach the store via
-	// the deferred merge regardless. A run with no detector-decided robust
-	// verdict (the warm steady state) has nothing new to fold.
-	for level := n; freshRobust.Load() && level >= 1; level-- {
-		for _, mask := range order[offs[level]:offs[level+1]] {
-			if !verdicts[mask] {
-				continue
-			}
-			members := seq.members
-			for w := range members {
-				members[w] = 0
-			}
-			for i := 0; i < n; i++ {
-				if int(mask)&(1<<i) != 0 {
-					orInto(members, programMask[i])
-				}
-			}
-			if covers.Add(members) {
-				discovered.Store(true)
-			}
-		}
-	}
-
-	ch, cvh, m := coreHits.Load(), coverHits.Load(), misses.Load()
-	s.coreHits.Add(ch)
-	s.coverHits.Add(cvh)
-	s.coreMisses.Add(m)
-	s.subsetsPruned.Add(ch + cvh)
-
-	rep := assembleReport(programs, verdicts)
-	rep.Checked = int(m)
-	rep.Pruned = int(ch + cvh)
-	rep.Cores = cores.Len()
-	rep.CertifiedCores = cores.CertifiedLen()
-	return rep, nil
-}
-
-// assembleReport builds the deterministic report from per-mask verdicts in
-// ascending mask order — the same order the naive sequential enumeration
-// visits.
-func assembleReport(programs []*btp.Program, verdicts []bool) *SubsetReport {
-	n := len(programs)
-	var robustSubsets []Subset
-	for mask := 1; mask < len(verdicts); mask++ {
-		if !verdicts[mask] {
-			continue
-		}
-		var names Subset
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				names = append(names, programs[i].ShortName())
-			}
-		}
-		sort.Strings(names)
-		robustSubsets = append(robustSubsets, names)
-	}
-	return NewSubsetReport(robustSubsets)
 }

@@ -13,13 +13,13 @@ import (
 	"repro/internal/summary"
 )
 
-// TestLatticePruningMatchesFlat is the pruning property test: for random
-// subset lattices — random program selections from every benchmark, under
-// random settings and methods, on a shared (and therefore increasingly
-// core-seeded) session — the pruned enumeration must return exactly the
-// per-subset verdicts of the flat fan-out, and its Checked+Pruned split
-// must cover the whole lattice.
-func TestLatticePruningMatchesFlat(t *testing.T) {
+// TestLatticePruningRandomSelectionsMatchOracle is the pruning property
+// test: for random subset lattices — random program selections from every
+// benchmark, under random settings and methods, on a shared (and therefore
+// increasingly core-seeded) session — the pruned enumeration must return
+// exactly the per-subset verdicts of the naive oracle, and its
+// Checked+Pruned split must cover the whole lattice.
+func TestLatticePruningRandomSelectionsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	benches := fixedBenchmarks()
 	sessions := make(map[string]*analysis.Session)
@@ -45,23 +45,21 @@ func TestLatticePruningMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		flatCfg := cfg
-		flatCfg.DisablePruning = true
-		flat, err := analysis.NewSession(bench.Schema).RobustSubsets(programs, flatCfg)
+		oracle := robust.NewChecker(bench.Schema)
+		oracle.Setting = cfg.Setting
+		oracle.Method = cfg.Method
+		want, err := oracle.NaiveRobustSubsets(programs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(pruned.Robust, flat.Robust) {
-			t.Errorf("%s: robust subsets diverge\npruned: %v\nflat:   %v", name, pruned.Robust, flat.Robust)
+		if !reflect.DeepEqual(pruned.Robust, want.Robust) {
+			t.Errorf("%s: robust subsets diverge\npruned: %v\noracle: %v", name, pruned.Robust, want.Robust)
 		}
-		if !reflect.DeepEqual(pruned.Maximal, flat.Maximal) {
-			t.Errorf("%s: maximal subsets diverge\npruned: %v\nflat:   %v", name, pruned.Maximal, flat.Maximal)
+		if !reflect.DeepEqual(pruned.Maximal, want.Maximal) {
+			t.Errorf("%s: maximal subsets diverge\npruned: %v\noracle: %v", name, pruned.Maximal, want.Maximal)
 		}
 		if total := (1 << k) - 1; pruned.Checked+pruned.Pruned != total {
 			t.Errorf("%s: Checked %d + Pruned %d != %d subsets", name, pruned.Checked, pruned.Pruned, total)
-		}
-		if flat.Pruned != 0 || flat.Checked != (1<<k)-1 {
-			t.Errorf("%s: flat path reported pruning: %d/%d", name, flat.Pruned, flat.Checked)
 		}
 	}
 }
@@ -69,9 +67,7 @@ func TestLatticePruningMatchesFlat(t *testing.T) {
 // TestLatticePruningMatchesNaiveOracle pins the pruned enumeration to the
 // paper-level ground truth across every fixed benchmark × 4 settings × 2
 // methods: report-identical to the naive per-subset oracle (re-validate,
-// re-unfold, re-run Algorithm 1 per subset). The flat-path equivalence of
-// TestEngineEquivalenceRobustSubsets plus this test brackets the pruning
-// from both sides.
+// re-unfold, re-run Algorithm 1 per subset).
 func TestLatticePruningMatchesNaiveOracle(t *testing.T) {
 	for _, bench := range fixedBenchmarks() {
 		sess := analysis.NewSession(bench.Schema)

@@ -62,8 +62,7 @@ type SubsetReport struct {
 	// carry the certified provenance bit: minimal non-robust program sets
 	// whose non-robustness has been proven by a replayed non-serializable
 	// execution (internal/certify), not only by the static analysis. Zero
-	// for the naive oracle and the flat (pruning-disabled) enumeration,
-	// which do not consult the core store.
+	// for the naive oracle, which does not consult the core store.
 	CertifiedCores int
 }
 
@@ -83,8 +82,8 @@ func (r *SubsetReport) String() string {
 // paths is a divergence in per-subset verdicts.
 //
 // Maximality is derived by bitmask containment when the subsets span at
-// most 64 distinct names (always true for the engine, whose enumeration
-// guard caps programs at 20) — the O(R²) scan then costs word operations
+// most 64 distinct names (always true for the engine, which caps
+// programs at MaxSubsetPrograms) — the O(R²) scan then costs word operations
 // instead of a map per pair; the name-set path is kept for wider inputs.
 func NewSubsetReport(robust []Subset) *SubsetReport {
 	report := &SubsetReport{Robust: robust}

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the cost-ordered scheduler of the streaming lattice
-// enumeration (stream.go): within a level, subsets are visited in
+// walk (walk.go, stream.go): within a level, subsets are visited in
 // descending estimated-non-robustness order, so the detector reaches
 // conflict-dense subsets first — cores are minted early, first_non_robust
 // terminates after a prefix of the level, and containment pruning of later
@@ -102,13 +102,12 @@ func staticConflict(a, b []*btp.LTP) float64 {
 	return score
 }
 
-// orderLevel copies the level's masks into dst sorted by descending
-// estimated conflict score — the summed pair weights over the subset's
-// unordered program pairs (both directions) plus each member's diagonal
-// self-conflict weight — with ascending mask as the deterministic
-// tiebreak. scores is scratch reused across levels.
-func orderLevel(dst []int32, scores []float64, masks []int32, n int, wts []float64) ([]int32, []float64) {
-	dst = append(dst[:0], masks...)
+// orderLevel sorts the level's masks, which arrive in ascending order, in
+// place by descending estimated conflict score — the summed pair weights
+// over the subset's unordered program pairs (both directions) plus each
+// member's diagonal self-conflict weight — with ascending mask as the
+// deterministic tiebreak. scores is scratch reused across levels.
+func orderLevel(masks []int32, scores []float64, n int, wts []float64) []float64 {
 	scores = scores[:0]
 	for _, mask := range masks {
 		var score float64
@@ -127,10 +126,9 @@ func orderLevel(dst []int32, scores []float64, masks []int32, n int, wts []float
 		}
 		scores = append(scores, score)
 	}
-	// The masks slice arrives in ascending order, so a stable sort by
-	// descending score keeps the ascending-mask tiebreak.
-	sort.Stable(&levelSorter{masks: dst, scores: scores})
-	return dst, scores
+	// A stable sort by descending score keeps the ascending-mask tiebreak.
+	sort.Stable(&levelSorter{masks: masks, scores: scores})
+	return scores
 }
 
 // levelSorter sorts a level's masks and their scores in lockstep,

@@ -3,9 +3,12 @@
 // exponential subset enumeration of Figures 6 and 7 would otherwise redo
 // per subset — program validation, loop unfolding (each program is unfolded
 // exactly once per bound) and the pairwise summary-graph edge blocks of
-// Algorithm 1 (computed once per analysis setting). Subset graphs are then
-// assembled by summary.Compose from cached blocks and only the cycle
-// detection runs per subset, fanned out over a bounded worker pool.
+// Algorithm 1 (computed once per analysis setting). One lattice walk
+// (walk.go) then enumerates the subsets: minimal non-robust cores and
+// robust covers decide most of them by containment, and the rest run only
+// the cycle detection — on the selection's universe detector, or on a
+// subset graph summary.Compose assembles from cached blocks — fanned out
+// over a bounded worker pool.
 //
 // The naive path (re-unfold and re-run Algorithm 1 from scratch for every
 // subset) is retained in internal/robust as the oracle for equivalence
@@ -46,12 +49,6 @@ type Config struct {
 	// search on large graphs. 0 means GOMAXPROCS, 1 forces fully
 	// sequential analysis.
 	Parallelism int
-	// DisablePruning turns off the lattice-pruned subset enumeration
-	// (minimal non-robust cores deciding supersets by containment) and
-	// falls back to the flat fan-out that runs the detector on every
-	// subset. Kept for benchmarking and as an in-tree ablation oracle —
-	// verdicts are identical either way, only the work differs.
-	DisablePruning bool
 	// Tracer receives phase spans (validate/unfold, Algorithm 1 pair
 	// derivation, compose, detect, per-lattice-level, first-verdict) from
 	// this analysis. nil — the default — is the no-op: instrumented code
@@ -612,136 +609,32 @@ func (s *Session) CheckCtx(ctx context.Context, programs []*btp.Program, cfg Con
 }
 
 // RobustSubsets checks every non-empty subset of the given programs and
-// reports the robust and maximal robust ones (Figures 6 and 7). Program
-// count must be modest (the benchmarks have ≤ 5); the enumeration is
-// exponential in it. Subsets are fanned out over cfg.Parallelism workers;
-// each worker only composes cached blocks and runs cycle detection, so the
-// expensive Algorithm 1 side conditions run once per LTP pair overall
-// rather than once per subset.
+// reports the robust and maximal robust ones (Figures 6 and 7). At most
+// MaxSubsetPrograms programs are accepted; the enumeration is exponential
+// in their number. The walk (walk.go) visits subsets by size, records
+// every non-robust discovery as a minimal non-robust core and decides
+// supersets of known cores (and subsets of known robust covers) by a
+// bitset containment scan instead of running the detector; the remaining
+// subsets are decided on the selection's memoized universe detector,
+// fanned over cfg.Parallelism workers, so the expensive Algorithm 1 side
+// conditions run once per LTP pair overall rather than once per subset.
+// Non-robustness is monotone over induced subgraphs, so the pruning is
+// exact and the report is identical to the naive per-subset oracle.
 func (s *Session) RobustSubsets(programs []*btp.Program, cfg Config) (*SubsetReport, error) {
 	return s.RobustSubsetsCtx(context.Background(), programs, cfg)
 }
 
-// RobustSubsetsCtx is RobustSubsets under a context: every worker checks the
+// RobustSubsetsCtx is RobustSubsets under a context: the walk checks the
 // context between subset masks, so a server timeout or client disconnect
 // aborts the exponential enumeration mid-flight. On cancellation the
 // context's error is returned and the partial verdicts are discarded (the
-// block cache keeps whatever pairs were computed — they stay valid).
-//
-// By default the enumeration is the lattice-pruned level-order traversal of
-// lattice.go: subsets are visited by size, every non-robust discovery is
-// recorded as a minimal non-robust core, and supersets of known cores are
-// decided by a bitset containment scan instead of running the detector —
-// non-robustness is monotone over induced subgraphs, so the pruning is
-// exact and the report is identical to the flat fan-out (and to the naive
-// oracle). Config.DisablePruning selects the retained flat path.
+// block cache keeps whatever pairs were computed, and the fact store every
+// core minted — both stay valid). It is the collecting form of
+// RobustSubsetsStream: the same walk with no verdict callback.
 func (s *Session) RobustSubsetsCtx(ctx context.Context, programs []*btp.Program, cfg Config) (*SubsetReport, error) {
-	n := len(programs)
-	if n > 20 {
-		return nil, fmt.Errorf("analysis: subset enumeration over %d programs is infeasible", n)
-	}
-	tr := cfg.Tracer
-	var t0 time.Time
-	if tr != nil {
-		ctx = cfg.traceCtx(ctx)
-		t0 = time.Now()
-	}
-	groups, all, err := s.ltpUniverse(programs, cfg.bound(), cfg.parallelism())
+	sum, err := s.walkLattice(ctx, programs, cfg, StreamOptions{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	if tr != nil {
-		tr.Span(obs.PhaseValidateUnfold, time.Since(t0))
-		t0 = time.Now()
-	}
-	if cfg.DisablePruning {
-		// The detector composes the universe graph once — computing (or
-		// reusing) every pairwise block on the worker pool — and then
-		// answers each subset's verdict on the universe's edge arrays
-		// filtered by a node mask, allocation-free per subset.
-		det, err := summary.NewSubsetDetectorCtx(ctx, s.Blocks(cfg.Setting), all, cfg.parallelism())
-		if err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			tr.Span(obs.PhaseCompose, time.Since(t0))
-		}
-		return s.enumerateFlat(ctx, det, groups, programs, cfg)
-	}
-	det, err := s.subsetDetector(ctx, cfg, programs, all)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		tr.Span(obs.PhaseCompose, time.Since(t0))
-	}
-	return s.enumerateLattice(ctx, det, groups, programs, cfg)
-}
-
-// enumerateFlat is the pre-pruning enumeration: every one of the 2^n − 1
-// masks runs the detector, fanned over the worker pool. Retained as the
-// DisablePruning path — the benchmark baseline and the engine-level oracle
-// of the pruning property tests.
-func (s *Session) enumerateFlat(ctx context.Context, det *summary.SubsetDetector, groups [][]*btp.LTP, programs []*btp.Program, cfg Config) (*SubsetReport, error) {
-	n := len(programs)
-	words := (det.NumNodes() + 63) / 64
-	programMask := programMasks(groups, words)
-
-	total := 1 << n
-	verdicts := make([]bool, total)
-	workers := cfg.parallelism()
-	if workers > total-1 {
-		workers = total - 1
-	}
-	// runMasks checks a stream of subset masks on one worker's scratch.
-	runMasks := func(nextMask func() int) {
-		scratch := det.NewScratch()
-		members := make([]uint64, words)
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			mask := nextMask()
-			if mask >= total {
-				return
-			}
-			for w := range members {
-				members[w] = 0
-			}
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
-					orInto(members, programMask[i])
-				}
-			}
-			verdicts[mask] = det.Robust(cfg.Method, members, scratch)
-		}
-	}
-	if workers <= 1 {
-		mask := 0
-		runMasks(func() int { mask++; return mask })
-	} else {
-		var next atomic.Int64 // next.Add(1) hands out masks 1..total-1
-		var wg sync.WaitGroup
-		errs := make([]error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer capturePanic(&errs[w])
-				runMasks(func() int { return int(next.Add(1)) })
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep := assembleReport(programs, verdicts)
-	rep.Checked = total - 1
-	return rep, nil
+	return sum.Report, nil
 }

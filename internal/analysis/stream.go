@@ -3,50 +3,25 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/btp"
-	"repro/internal/obs"
-	"repro/internal/summary"
 )
 
-// This file is the streaming half of the lattice enumeration:
-// RobustSubsetsStream walks the same size-ordered subset lattice as
-// RobustSubsetsCtx — identical pruning invariants, identical verdicts —
-// but emits each verdict through a callback the moment its level decides
-// it, instead of materializing the full report after 2^n−1 decisions.
-// Three things distinguish the streaming traversal:
-//
-//   - Lazy composition. The monolithic path builds the universe
-//     SubsetDetector up front, which composes every ordered LTP pair
-//     before the first verdict. The stream composes each detector-miss
-//     subset's own pairs on demand (summary.Compose over the shared
-//     BlockSet — identical, including edge order, to the universe graph
-//     induced on the subset's nodes), so the first verdict costs one
-//     program's intra-pairs, not the whole universe. Pairs are cached as
-//     they appear; a full stream converges to the same composed state.
-//
-//   - Cost-ordered scheduling (sched.go). Within a level, subsets are
-//     visited in descending estimated conflict density. Cores minted at
-//     level k have exactly size k and cannot prune size-k siblings, so
-//     the reorder changes neither the verdict set nor the deterministic
-//     pruned count — only how early the interesting verdicts surface.
-//     The level barrier itself is load-bearing (it is the pruning's
-//     completeness and minimality argument) and stays.
-//
-//   - Early termination (StreamMode). first_non_robust stops at the
-//     first non-robust verdict (level order makes it a smallest one);
-//     all_maximal_robust and top_k stop after the first level with no
-//     robust subset — monotonicity decides everything above; a
-//     MaxSubsets budget caps emitted verdicts in any mode. Terminated
-//     runs still merge their minted cores into the session fact store
-//     (the deferred merge), but fold covers and assemble a report only
-//     when their robust knowledge is complete.
+// This file is the streaming face of the lattice walk (walk.go):
+// RobustSubsetsStream runs the same walk as RobustSubsetsCtx — identical
+// pruning invariants, identical verdicts — but emits each verdict through
+// a callback the moment its level decides it, instead of materializing the
+// full report after 2^n−1 decisions. A streaming walk composes detector
+// misses lazily and visits each level in the cost-ordered schedule of
+// sched.go, so interesting verdicts surface early; and it can stop early
+// (StreamMode): first_non_robust stops at the first non-robust verdict
+// (level order makes it a smallest one); all_maximal_robust and top_k stop
+// after the first level with no robust subset — monotonicity decides
+// everything above; a MaxSubsets budget caps emitted verdicts in any mode.
+// Terminated walks still merge their minted cores into the session fact
+// store, but fold covers and assemble a report only when their robust
+// knowledge is complete.
 
 // StreamMode selects how much of the subset lattice a streaming
 // enumeration traverses before stopping.
@@ -149,480 +124,25 @@ type StreamSummary struct {
 	SchedChecked, SchedHits uint64
 }
 
-// Internal decidedBy encoding of the per-mask table.
-const (
-	dUndecided uint8 = iota
-	dCore
-	dCover
-	dDetector
-)
-
-func decidedName(d uint8) string {
-	switch d {
-	case dCore:
-		return DecidedCore
-	case dCover:
-		return DecidedCover
-	default:
-		return DecidedDetector
-	}
-}
-
-// streamRun is the per-call state of one streaming traversal.
-type streamRun struct {
-	sess        *Session
-	cfg         Config
-	opts        StreamOptions
-	emit        func(StreamVerdict) error
-	programs    []*btp.Program
-	groups      [][]*btp.LTP
-	programMask [][]uint64
-	ltpIdx      map[*btp.LTP]int32
-	bs          *summary.BlockSet
-	cores       *summary.CoreSet
-	covers      *summary.CoverSet
-	n, words    int
-
-	verdicts []bool
-	decided  []uint8
-
-	coreHits, coverHits, misses atomic.Uint64
-	discovered, freshRobust     atomic.Bool
-	bail                        atomic.Bool // first_non_robust: a worker saw non-robust
-
-	// start anchors the first_verdict span (time-to-first-verdict) when the
-	// config carries a tracer; emittedFirst flips after the span fires.
-	// Emission is single-goroutine (sequential inline, parallel after the
-	// level's wg.Wait), so a plain bool suffices.
-	start        time.Time
-	emittedFirst bool
-
-	sum StreamSummary
-}
-
 // RobustSubsetsStream is the streaming form of RobustSubsetsCtx: the same
-// lattice-pruned, level-ordered enumeration over the same per-selection
-// pruning state, emitting every verdict through the callback as soon as
-// its level decides it, in cost-ordered (descending estimated conflict)
-// visit order. A callback error aborts the traversal and is returned —
-// the server maps a client disconnect onto exactly that. Early-termination
-// modes (StreamOptions) stop the walk without an error; the summary says
-// why. Cores minted before any exit reach the session fact store, so even
-// an aborted stream warms subsequent enumerations.
+// lattice walk over the same per-selection pruning state, emitting every
+// verdict through the callback as soon as its level decides it, in
+// cost-ordered (descending estimated conflict) visit order. A callback
+// error aborts the walk and is returned — the server maps a client
+// disconnect onto exactly that. Early-termination modes (StreamOptions)
+// stop the walk without an error; the summary says why. Cores minted
+// before any exit reach the session fact store, so even an aborted stream
+// warms subsequent enumerations.
 //
 // Full-stream verdicts are bit-identical to RobustSubsetsCtx for any
 // worker count: the emitted set covers every non-empty subset and the
-// summary's report is assembled from the same verdict table. The pruning
-// is always on — streaming exists to shorten time-to-first-verdict, which
-// DisablePruning would lengthen; cfg.DisablePruning is ignored.
+// summary's report is assembled by the same code from the same decision
+// table.
 func (s *Session) RobustSubsetsStream(ctx context.Context, programs []*btp.Program, cfg Config, opts StreamOptions, emit func(StreamVerdict) error) (*StreamSummary, error) {
-	n := len(programs)
-	if n > 20 {
-		return nil, fmt.Errorf("analysis: subset enumeration over %d programs is infeasible", n)
-	}
 	if opts.Mode == StreamTopK && opts.K <= 0 {
 		return nil, fmt.Errorf("analysis: top_k streaming needs k > 0")
 	}
-	tr := cfg.Tracer
-	var t0 time.Time
-	if tr != nil {
-		ctx = cfg.traceCtx(ctx)
-		t0 = time.Now()
-	}
-	groups, all, err := s.ltpUniverse(programs, cfg.bound(), cfg.parallelism())
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		tr.Span(obs.PhaseValidateUnfold, time.Since(t0))
-	}
-	words := (len(all) + 63) / 64
-	programMask := programMasks(groups, words)
-	entry := s.latticeFor(cfg, programs, programMask, words)
-
-	r := &streamRun{
-		sess:        s,
-		cfg:         cfg,
-		opts:        opts,
-		emit:        emit,
-		programs:    programs,
-		groups:      groups,
-		programMask: programMask,
-		bs:          s.Blocks(cfg.Setting),
-		cores:       entry.cores,
-		covers:      entry.covers,
-		n:           n,
-		words:       words,
-		verdicts:    make([]bool, 1<<n),
-		decided:     make([]uint8, 1<<n),
-	}
-	if tr != nil {
-		r.start = time.Now()
-	}
-	// Witness cycles come back as graph edges over the subset's LTPs; the
-	// index maps their endpoints into universe node positions for core
-	// minting.
-	r.ltpIdx = make(map[*btp.LTP]int32, len(all))
-	for i, l := range all {
-		r.ltpIdx[l] = int32(i)
-	}
-	// Merge discoveries into the fact store however the traversal exits —
-	// same contract as the monolithic path: cores minted before a cancel,
-	// a callback error or an early termination are valid facts. Covers are
-	// folded (below) only when robust knowledge is complete, so an
-	// early-terminated run contributes cores alone.
-	defer func() {
-		if r.discovered.Load() {
-			s.mergeLattice(cfg, entry, programs, programMask)
-		}
-	}()
-
-	if err := r.walk(ctx); err != nil {
-		return nil, err
-	}
-
-	complete := !r.sum.Terminated || r.sum.Reason == ReasonLevelExhausted
-	if complete {
-		r.foldCovers()
-	}
-
-	ch, cvh, m := r.coreHits.Load(), r.coverHits.Load(), r.misses.Load()
-	s.coreHits.Add(ch)
-	s.coverHits.Add(cvh)
-	s.coreMisses.Add(m)
-	s.subsetsPruned.Add(ch + cvh)
-	s.schedChecked.Add(r.sum.SchedChecked)
-	s.schedHits.Add(r.sum.SchedHits)
-
-	r.sum.Checked = int(m)
-	r.sum.Pruned = int(ch + cvh)
-	r.sum.Cores = r.cores.Len()
-	if complete {
-		rep := assembleReport(programs, r.verdicts)
-		rep.Checked = r.sum.Checked
-		rep.Pruned = r.sum.Pruned
-		rep.Cores = r.sum.Cores
-		r.sum.Report = rep
-		if opts.Mode == StreamTopK {
-			r.sum.TopK = topKBySize(rep.Robust, opts.K)
-		}
-	}
-	return &r.sum, nil
-}
-
-// walk runs the level loop: schedule, process (sequentially or sharded),
-// emit in schedule order, evaluate termination.
-func (r *streamRun) walk(ctx context.Context) error {
-	offs, order := latticeOrder(r.n)
-	var schedBuf []int32
-	var scoreBuf, wtsBuf []float64
-	// static memoizes the footprint priors for the whole run (they cannot
-	// change); NaN marks a pair not yet computed.
-	static := make([]float64, r.n*r.n)
-	for i := range static {
-		static[i] = math.NaN()
-	}
-	seqMembers := getMask(r.words)
-	defer putMask(seqMembers)
-	var seqLTPs []*btp.LTP
-
-	for level := 1; level <= r.n; level++ {
-		var levelStart time.Time
-		if tr := r.cfg.Tracer; tr != nil {
-			levelStart = time.Now()
-		}
-		masks := order[offs[level]:offs[level+1]]
-		if len(masks) == 0 {
-			continue
-		}
-		// Re-estimate before every level: pairs composed by the previous
-		// level's detector misses sharpen this level's schedule.
-		wts := pairWeights(wtsBuf, r.bs, r.groups, static)
-		wtsBuf = wts
-		schedBuf, scoreBuf = orderLevel(schedBuf, scoreBuf, masks, r.n, wts)
-		sched := schedBuf
-
-		lw := r.cfg.parallelism()
-		if lw > len(sched) {
-			lw = len(sched)
-		}
-		if len(sched) < latticeParallelMin {
-			lw = 1
-		}
-		if lw <= 1 {
-			// Sequential: emit each verdict the moment it is decided, so
-			// termination stops the walk mid-level without touching the
-			// remaining masks.
-			for _, mask := range sched {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if err := r.process(ctx, int(mask), seqMembers, &seqLTPs); err != nil {
-					return err
-				}
-				stop, err := r.emitMask(int(mask))
-				if err != nil {
-					return err
-				}
-				if stop {
-					r.recordSched(sched)
-					return nil
-				}
-			}
-		} else {
-			// Parallel: the level is decided by a worker pool first (the
-			// level barrier needs every verdict anyway), then emitted in
-			// schedule order — the same emission sequence the sequential
-			// walk produces. first_non_robust lets workers bail as soon as
-			// any non-robust verdict lands; the masks they skip are
-			// undecided and simply not emitted.
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			errs := make([]error, lw)
-			for w := 0; w < lw; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					defer capturePanic(&errs[w])
-					members := getMask(r.words)
-					defer putMask(members)
-					var ltps []*btp.LTP
-					for ctx.Err() == nil && !(r.opts.Mode == StreamFirstNonRobust && r.bail.Load()) {
-						i := int(next.Add(1)) - 1
-						if i >= len(sched) {
-							return
-						}
-						if err := r.process(ctx, int(sched[i]), members, &ltps); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
-			for _, mask := range sched {
-				if r.decided[mask] == dUndecided {
-					continue // skipped by a first_non_robust bail
-				}
-				stop, err := r.emitMask(int(mask))
-				if err != nil {
-					return err
-				}
-				if stop {
-					r.recordSched(sched)
-					return nil
-				}
-			}
-		}
-		r.recordSched(sched)
-		if tr := r.cfg.Tracer; tr != nil {
-			tr.Span(obs.PhaseLatticeLevel, time.Since(levelStart))
-		}
-		// The level barrier: supersets are only examined once every smaller
-		// mask's verdict (and core) is published — the determinism and
-		// minimality argument of lattice.go. It must not be elided;
-		// scheduling only permutes the masks between barriers.
-		if r.opts.Mode == StreamMaximalRobust || r.opts.Mode == StreamTopK {
-			robustInLevel := false
-			for _, mask := range sched {
-				if r.verdicts[mask] {
-					robustInLevel = true
-					break
-				}
-			}
-			if !robustInLevel {
-				r.sum.Terminated = true
-				r.sum.Reason = ReasonLevelExhausted
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// process decides one mask: core scan, cover scan, then a lazily composed
-// subset graph for the misses. Identical decision logic to the monolithic
-// process closure of enumerateLattice, with Compose standing in for the
-// universe detector — the composed graph is exactly the universe graph
-// induced on the subset's nodes, so verdicts agree bit for bit.
-func (r *streamRun) process(ctx context.Context, mask int, members []uint64, ltpBuf *[]*btp.LTP) error {
-	for w := range members {
-		members[w] = 0
-	}
-	for i := 0; i < r.n; i++ {
-		if mask&(1<<i) != 0 {
-			orInto(members, r.programMask[i])
-		}
-	}
-	if r.cores.Snapshot().Contains(members) {
-		r.coreHits.Add(1)
-		r.decided[mask] = dCore // verdicts[mask] stays false
-		r.bail.Store(true)
-		return nil
-	}
-	if r.covers.Snapshot().Covers(members) {
-		r.coverHits.Add(1)
-		r.verdicts[mask] = true
-		r.decided[mask] = dCover
-		return nil
-	}
-	r.misses.Add(1)
-	ltps := (*ltpBuf)[:0]
-	for i := 0; i < r.n; i++ {
-		if mask&(1<<i) != 0 {
-			ltps = append(ltps, r.groups[i]...)
-		}
-	}
-	*ltpBuf = ltps
-	var t0 time.Time
-	if tr := r.cfg.Tracer; tr != nil {
-		t0 = time.Now()
-	}
-	g, err := summary.ComposeCtx(ctx, r.bs, ltps, 1)
-	if err != nil {
-		return err
-	}
-	if tr := r.cfg.Tracer; tr != nil {
-		tr.Span(obs.PhaseCompose, time.Since(t0))
-		t0 = time.Now()
-	}
-	ok, wit := g.RobustWith(r.cfg.Method, 1)
-	if tr := r.cfg.Tracer; tr != nil {
-		tr.Span(obs.PhaseDetect, time.Since(t0))
-	}
-	r.verdicts[mask] = ok
-	r.decided[mask] = dDetector
-	if ok {
-		r.freshRobust.Store(true)
-		return nil
-	}
-	r.bail.Store(true)
-	wmask := getMask(r.words)
-	defer putMask(wmask)
-	for w := range wmask {
-		wmask[w] = 0
-	}
-	for _, e := range wit.Cycle {
-		fi, ti := r.ltpIdx[e.From], r.ltpIdx[e.To]
-		wmask[fi/64] |= 1 << (uint(fi) % 64)
-		wmask[ti/64] |= 1 << (uint(ti) % 64)
-	}
-	if r.cores.Add(minimizeCore(r.verdicts, wmask, r.programMask)) {
-		r.discovered.Store(true)
-	}
-	return nil
-}
-
-// emitMask hands one decided verdict to the callback (modes that stream
-// only robust verdicts skip the rest) and evaluates per-verdict
-// termination: the emission budget, and first_non_robust's stop.
-func (r *streamRun) emitMask(mask int) (stop bool, err error) {
-	robust := r.verdicts[mask]
-	if (r.opts.Mode == StreamMaximalRobust || r.opts.Mode == StreamTopK) && !robust {
-		return false, nil
-	}
-	v := StreamVerdict{
-		Programs:  subsetNames(r.programs, mask),
-		Size:      bits.OnesCount32(uint32(mask)),
-		Robust:    robust,
-		DecidedBy: decidedName(r.decided[mask]),
-	}
-	if err := r.emit(v); err != nil {
-		return true, err
-	}
-	if tr := r.cfg.Tracer; tr != nil && !r.emittedFirst {
-		r.emittedFirst = true
-		tr.Span(obs.PhaseFirstVerdict, time.Since(r.start))
-	}
-	r.sum.Emitted++
-	if r.opts.MaxSubsets > 0 && r.sum.Emitted >= r.opts.MaxSubsets {
-		r.sum.Terminated = true
-		r.sum.Reason = ReasonMaxSubsets
-		return true, nil
-	}
-	if r.opts.Mode == StreamFirstNonRobust && !robust {
-		r.sum.Terminated = true
-		r.sum.Reason = ReasonFirstNonRobust
-		return true, nil
-	}
-	return false, nil
-}
-
-// recordSched accumulates the level's scheduler telemetry: of the
-// detector-run masks in the first half of the schedule, how many were
-// non-robust. Levels with fewer than two detector runs carry no ordering
-// signal and are skipped.
-func (r *streamRun) recordSched(sched []int32) {
-	det := 0
-	for _, mask := range sched {
-		if r.decided[mask] == dDetector {
-			det++
-		}
-	}
-	if det < 2 {
-		return
-	}
-	for _, mask := range sched[:len(sched)/2] {
-		if r.decided[mask] != dDetector {
-			continue
-		}
-		r.sum.SchedChecked++
-		if !r.verdicts[mask] {
-			r.sum.SchedHits++
-		}
-	}
-}
-
-// foldCovers folds the run's detector-decided robust verdicts into the
-// cover set, largest masks first — the streaming analogue of the
-// monolithic post-pass. Only complete runs call it; the decided table
-// keeps undecided masks (skipped levels, bailed workers) out by
-// construction.
-func (r *streamRun) foldCovers() {
-	if !r.freshRobust.Load() {
-		return
-	}
-	offs, order := latticeOrder(r.n)
-	members := getMask(r.words)
-	defer putMask(members)
-	for level := r.n; level >= 1; level-- {
-		for _, mask := range order[offs[level]:offs[level+1]] {
-			if r.decided[mask] != dDetector || !r.verdicts[mask] {
-				continue
-			}
-			for w := range members {
-				members[w] = 0
-			}
-			for i := 0; i < r.n; i++ {
-				if int(mask)&(1<<i) != 0 {
-					orInto(members, r.programMask[i])
-				}
-			}
-			if r.covers.Add(members) {
-				r.discovered.Store(true)
-			}
-		}
-	}
-}
-
-// subsetNames renders a mask as sorted program short names.
-func subsetNames(programs []*btp.Program, mask int) []string {
-	names := make([]string, 0, bits.OnesCount32(uint32(mask)))
-	for i := range programs {
-		if mask&(1<<i) != 0 {
-			names = append(names, programs[i].ShortName())
-		}
-	}
-	sort.Strings(names)
-	return names
+	return s.walkLattice(ctx, programs, cfg, opts, emit)
 }
 
 // topKBySize returns the k largest robust subsets, size-descending with
@@ -645,26 +165,4 @@ func topKBySize(robust []Subset, k int) []Subset {
 		sorted = sorted[:k]
 	}
 	return sorted
-}
-
-// maskPool recycles the per-worker membership and witness bitsets of the
-// lattice traversals — the per-level allocation hot spot the allocs/op
-// benchmarks watch.
-var maskPool sync.Pool
-
-// getMask returns a bitset of the given word count; contents are
-// unspecified and every caller zeroes before use.
-func getMask(words int) []uint64 {
-	if v := maskPool.Get(); v != nil {
-		if m := v.([]uint64); cap(m) >= words {
-			return m[:words]
-		}
-	}
-	return make([]uint64, words)
-}
-
-func putMask(m []uint64) {
-	if cap(m) > 0 {
-		maskPool.Put(m[:cap(m)]) //nolint:staticcheck // []uint64 header is small
-	}
 }

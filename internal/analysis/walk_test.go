@@ -1,0 +1,128 @@
+package analysis_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/btp"
+	"repro/internal/relschema"
+	"repro/internal/robust"
+	"repro/internal/summary"
+	"repro/internal/workload"
+)
+
+// TestWalkRandomWorkloads runs the lattice walk on seeded random workloads
+// (workload.RandomBTPs), whose FK chains, predicate shapes and program
+// structure the three fixed benchmarks never reach. For every seed,
+// setting and method:
+//
+//   - RobustSubsetsCtx must equal the naive per-subset oracle on the
+//     robust and maximal sets;
+//   - a full streaming walk (lazy composition, cost-ordered levels) must
+//     report exactly what the collecting walk (universe detector,
+//     ascending levels) reports — Checked, Pruned, Cores and
+//     CertifiedCores included — both on cold sessions and on sessions
+//     seeded with a certified core.
+//
+// A second sweep takes the first eight-program workloads the generator
+// produces: their level of C(8,4) = 70 masks runs on the worker pool, so
+// the parallel level path is held to the same checks.
+func TestWalkRandomWorkloads(t *testing.T) {
+	seeds, wide := 200, 4
+	if testing.Short() {
+		seeds, wide = 40, 1
+	}
+	sweep := func(seed int, w *workload.RandomWorkload, par int) {
+		for _, setting := range summary.AllSettings {
+			for _, method := range methods {
+				cfg := analysis.Config{Setting: setting, Method: method, Parallelism: par}
+				name := fmt.Sprintf("seed %d (%d programs) %s/%s par=%d", seed, len(w.Programs), setting, method, par)
+				checkRandomWalk(t, name, w.Schema, w.Programs, cfg)
+			}
+		}
+	}
+	for seed := 0; seed < seeds; seed++ {
+		w := workload.RandomBTPs(rand.New(rand.NewSource(int64(seed))), workload.RandomOptions{MaxPrograms: 6})
+		sweep(seed, w, 1+seed%2)
+	}
+	for seed, found := 0, 0; found < wide; seed++ {
+		w := workload.RandomBTPs(rand.New(rand.NewSource(int64(seed))), workload.RandomOptions{MaxPrograms: 8})
+		if len(w.Programs) == 8 {
+			found++
+			sweep(seed, w, 4)
+		}
+	}
+}
+
+func checkRandomWalk(t *testing.T, name string, schema *relschema.Schema, programs []*btp.Program, cfg analysis.Config) {
+	t.Helper()
+	cold := analysis.NewSession(schema)
+	got, err := cold.RobustSubsetsCtx(context.Background(), programs, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	oracle := robust.NewChecker(schema)
+	oracle.Setting = cfg.Setting
+	oracle.Method = cfg.Method
+	want, err := oracle.NaiveRobustSubsets(programs)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	if !reflect.DeepEqual(got.Robust, want.Robust) || !reflect.DeepEqual(got.Maximal, want.Maximal) {
+		t.Fatalf("%s: walk diverges from the naive oracle\nwalk:   %v\noracle: %v", name, got.Robust, want.Robust)
+	}
+
+	streamed := streamReport(t, name, analysis.NewSession(schema), programs, cfg)
+	if !reflect.DeepEqual(streamed, got) {
+		t.Fatalf("%s: cold streaming report diverges\nstream:  %s\ncollect: %s", name, reportShape(streamed), reportShape(got))
+	}
+
+	cores := cold.ExportCores()
+	if len(cores) == 0 {
+		return
+	}
+	seeded := func() *analysis.Session {
+		s := analysis.NewSession(schema)
+		if !s.CertifyCore(cfg, cores[0].Programs) {
+			t.Fatalf("%s: CertifyCore refused core %v", name, coreNames(cores[0].Programs))
+		}
+		return s
+	}
+	collected, err := seeded().RobustSubsetsCtx(context.Background(), programs, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if collected.CertifiedCores != 1 {
+		t.Fatalf("%s: seeded walk reports %d certified cores, want 1", name, collected.CertifiedCores)
+	}
+	if streamed := streamReport(t, name, seeded(), programs, cfg); !reflect.DeepEqual(streamed, collected) {
+		t.Fatalf("%s: seeded streaming report diverges\nstream:  %s\ncollect: %s", name, reportShape(streamed), reportShape(collected))
+	}
+}
+
+// streamReport runs a full streaming walk and returns its summary report,
+// checking that every subset was emitted.
+func streamReport(t *testing.T, name string, sess *analysis.Session, programs []*btp.Program, cfg analysis.Config) *analysis.SubsetReport {
+	t.Helper()
+	emitted := 0
+	sum, err := sess.RobustSubsetsStream(context.Background(), programs, cfg, analysis.StreamOptions{},
+		func(analysis.StreamVerdict) error { emitted++; return nil })
+	if err != nil {
+		t.Fatalf("%s: stream: %v", name, err)
+	}
+	if total := 1<<len(programs) - 1; emitted != total || sum.Report == nil {
+		t.Fatalf("%s: stream emitted %d of %d subsets (report %v)", name, emitted, total, sum.Report)
+	}
+	return sum.Report
+}
+
+// reportShape renders a report's verdicts and telemetry for failure
+// messages (SubsetReport.String shows only the maximal sets).
+func reportShape(r *analysis.SubsetReport) string {
+	return fmt.Sprintf("robust %v checked=%d pruned=%d cores=%d certified=%d",
+		r.Robust, r.Checked, r.Pruned, r.Cores, r.CertifiedCores)
+}

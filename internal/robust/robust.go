@@ -7,11 +7,12 @@
 // Since the incremental-engine refactor the heavy lifting lives in
 // internal/analysis: a Checker lazily owns an analysis.Session that unfolds
 // each program once, caches the pairwise summary-graph edge blocks of
-// Algorithm 1 per setting, composes subset graphs from those blocks and
-// fans the subset enumeration out over a worker pool (Parallelism). The
-// pre-refactor naive path — re-unfold and re-run Algorithm 1 per subset —
-// is kept as NaiveRobustSubsets, the oracle the equivalence tests compare
-// the engine against.
+// Algorithm 1 per setting, and enumerates subsets with the session's one
+// lattice walk — minimal non-robust cores and robust covers decide most
+// subsets by containment, the rest run the cycle detector on a worker pool
+// (Parallelism). The pre-refactor naive path — re-unfold and re-run
+// Algorithm 1 per subset — is kept as NaiveRobustSubsets, the oracle the
+// equivalence tests compare the engine against.
 package robust
 
 import (
@@ -51,11 +52,6 @@ type Checker struct {
 	// edge blocks, closure fixpoint, large-graph cycle search). 0 means
 	// GOMAXPROCS, 1 forces fully sequential analysis.
 	Parallelism int
-	// DisablePruning turns off the lattice-pruned subset enumeration and
-	// falls back to the flat per-subset fan-out; see
-	// analysis.Config.DisablePruning. Exposed for the benchmarks and the
-	// pruning ablation only — verdicts are identical either way.
-	DisablePruning bool
 	// Tracer receives phase spans from every analysis run through this
 	// Checker; see analysis.Config.Tracer. nil (the default) is the no-op
 	// and costs the hot paths nothing. robustcheck -timings sets a
@@ -98,12 +94,11 @@ func (c *Checker) Session() *analysis.Session {
 // config snapshots the exported fields into an engine configuration.
 func (c *Checker) config() analysis.Config {
 	return analysis.Config{
-		Setting:        c.Setting,
-		Method:         c.Method,
-		UnfoldBound:    c.UnfoldBound,
-		Parallelism:    c.Parallelism,
-		DisablePruning: c.DisablePruning,
-		Tracer:         c.Tracer,
+		Setting:     c.Setting,
+		Method:      c.Method,
+		UnfoldBound: c.UnfoldBound,
+		Parallelism: c.Parallelism,
+		Tracer:      c.Tracer,
 	}
 }
 
@@ -130,24 +125,25 @@ func (c *Checker) CheckLTPs(ltps []*btp.LTP) *Result {
 }
 
 // RobustSubsets checks every non-empty subset of the given programs and
-// reports the robust and maximal robust ones. Program count must be modest
-// (the benchmarks have ≤ 5); the check is exponential in it. The engine
-// composes each subset's summary graph from cached pairwise edge blocks and
-// enumerates subsets on a worker pool; the output is byte-identical to the
-// naive per-subset oracle (see NaiveRobustSubsets).
+// reports the robust and maximal robust ones. At most
+// analysis.MaxSubsetPrograms programs are accepted; the check is
+// exponential in their number. The engine's lattice walk decides subsets
+// by core and cover containment or on the selection's universe detector
+// (see analysis.Session.RobustSubsets); the output is byte-identical to
+// the naive per-subset oracle (see NaiveRobustSubsets).
 func (c *Checker) RobustSubsets(programs []*btp.Program) (*SubsetReport, error) {
 	return c.Session().RobustSubsets(programs, c.config())
 }
 
-// RobustSubsetsCtx is RobustSubsets under a context: the enumeration's
-// worker pool polls the context between subset masks, so server timeouts
-// and client disconnects abort the exponential sweep mid-flight.
+// RobustSubsetsCtx is RobustSubsets under a context: the walk polls the
+// context between subset masks, so server timeouts and client disconnects
+// abort the exponential sweep mid-flight.
 func (c *Checker) RobustSubsetsCtx(ctx context.Context, programs []*btp.Program) (*SubsetReport, error) {
 	return c.Session().RobustSubsetsCtx(ctx, programs, c.config())
 }
 
 // RobustSubsetsStream is the streaming form of RobustSubsetsCtx: the same
-// lattice-pruned enumeration, emitting each subset verdict through the
+// lattice walk, emitting each subset verdict through the
 // callback as its level decides it, in cost-ordered visit order, with
 // optional early termination (see analysis.StreamOptions). A full stream's
 // summary report is identical to RobustSubsetsCtx's.
@@ -175,8 +171,8 @@ func (c *Checker) naiveCheck(programs []*btp.Program) (*Result, error) {
 // equivalence tests and the naive/cached benchmarks.
 func (c *Checker) NaiveRobustSubsets(programs []*btp.Program) (*SubsetReport, error) {
 	n := len(programs)
-	if n > 20 {
-		return nil, fmt.Errorf("robust: subset enumeration over %d programs is infeasible", n)
+	if n > analysis.MaxSubsetPrograms {
+		return nil, fmt.Errorf("robust: subset enumeration over %d programs exceeds the limit of %d", n, analysis.MaxSubsetPrograms)
 	}
 	var robustSubsets []Subset
 	for mask := 1; mask < 1<<n; mask++ {

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/benchmarks"
 	"repro/internal/faultfs"
 	"repro/internal/wire"
@@ -123,6 +126,71 @@ func TestOverloadShedding(t *testing.T) {
 		&wire.CheckRequest{Programs: []string{"Bal"}}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release check: %d, want 200\n%s", resp.StatusCode, raw)
+	}
+}
+
+// TestSubsetsRejectTooManyPrograms: both subsets endpoints refuse a
+// selection larger than analysis.MaxSubsetPrograms with the same
+// structured 400 — and refuse it before admission, so the answer is the
+// same while the only analysis slot is held and the refusal is never
+// counted as shed load.
+func TestSubsetsRejectTooManyPrograms(t *testing.T) {
+	s, ts := newTestServer(t, Options{MaxConcurrentChecks: 1})
+	var reg wire.RegisterWorkloadResponse
+	resp, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads",
+		&wire.RegisterWorkloadRequest{Benchmark: "auction", N: 11}, &reg)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register auction n=11: %d\n%s", resp.StatusCode, raw)
+	}
+	probe := func(phase string) {
+		t.Helper()
+		for _, p := range []struct{ method, path string }{
+			{http.MethodPost, "/subsets"},
+			{http.MethodGet, "/subsets:stream"},
+			{http.MethodPost, "/subsets:stream"},
+		} {
+			resp, raw := doJSON(t, p.method, ts.URL+"/v1/workloads/"+reg.ID+p.path, nil, nil)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: %s %s over 22 programs: %d, want 400\n%s", phase, p.method, p.path, resp.StatusCode, raw)
+			}
+			e := decodeError(t, raw)
+			want := fmt.Sprintf("subset enumeration over 22 programs exceeds the limit of %d", analysis.MaxSubsetPrograms)
+			if e.Code != "too_many_programs" || e.Error != want {
+				t.Errorf("%s: %s %s body = %+v, want code too_many_programs and %q", phase, p.method, p.path, e, want)
+			}
+		}
+	}
+	probe("idle")
+
+	// Hold the only admission slot with a blocked SmallBank enumeration.
+	id := registerSmallBank(t, ts)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+	s.testFlightHook = func() {
+		close(started)
+		<-release
+	}
+	leader := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/workloads/"+id+"/subsets", "application/json", nil)
+		if err != nil {
+			leader <- -1
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		leader <- resp.StatusCode
+	}()
+	<-started
+	probe("saturated")
+	if n := s.shed.Load(); n != 0 {
+		t.Errorf("over-limit requests were shed (%d) instead of rejected before admission", n)
+	}
+	releaseOnce.Do(func() { close(release) })
+	if status := <-leader; status != http.StatusOK {
+		t.Fatalf("blocked enumeration finished %d, want 200", status)
 	}
 }
 
@@ -374,6 +442,127 @@ func TestCloseFlushesDirtyWorkloads(t *testing.T) {
 	defer s2.Close()
 	if loaded, _, _ := s2.StateReport(); loaded != 1 {
 		t.Fatalf("restart loaded %d workloads, want 1", loaded)
+	}
+}
+
+// closeRaceFS is a snapshot filesystem whose first Rename after arm parks
+// the background flusher mid-round until Close has started (started is
+// the server's base context), then lingers until the test reports that
+// Close returned, or a grace period passes. A Close that does not wait for
+// the flusher returns while that Rename is parked, and the rest of the
+// flusher's round then runs after it: every op that starts once closed is
+// closed counts as late.
+type closeRaceFS struct {
+	faultfs.OS
+	armed         atomic.Bool
+	once          sync.Once
+	started       <-chan struct{}
+	closed        chan struct{}
+	entered, done chan struct{}
+	late          atomic.Int64
+}
+
+func (f *closeRaceFS) op() {
+	select {
+	case <-f.closed:
+		f.late.Add(1)
+	default:
+	}
+}
+
+func (f *closeRaceFS) Rename(oldpath, newpath string) error {
+	parked := false
+	if f.armed.Load() {
+		f.once.Do(func() { parked = true })
+	}
+	if parked {
+		defer close(f.done)
+		close(f.entered)
+		<-f.started
+		select {
+		case <-f.closed:
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	f.op()
+	return f.OS.Rename(oldpath, newpath)
+}
+
+func (f *closeRaceFS) MkdirAll(dir string, perm os.FileMode) error {
+	f.op()
+	return f.OS.MkdirAll(dir, perm)
+}
+
+func (f *closeRaceFS) Create(name string) (faultfs.File, error) {
+	f.op()
+	file, err := f.OS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &closeRaceFile{File: file, fs: f}, nil
+}
+
+func (f *closeRaceFS) Remove(name string) error {
+	f.op()
+	return f.OS.Remove(name)
+}
+
+func (f *closeRaceFS) ReadDir(dir string) ([]os.DirEntry, error) {
+	f.op()
+	return f.OS.ReadDir(dir)
+}
+
+func (f *closeRaceFS) ReadFile(name string) ([]byte, error) {
+	f.op()
+	return f.OS.ReadFile(name)
+}
+
+func (f *closeRaceFS) SyncDir(dir string) error {
+	f.op()
+	return f.OS.SyncDir(dir)
+}
+
+// closeRaceFile counts a created file's writes, syncs and close as ops.
+type closeRaceFile struct {
+	faultfs.File
+	fs *closeRaceFS
+}
+
+func (c *closeRaceFile) Write(p []byte) (int, error) { c.fs.op(); return c.File.Write(p) }
+func (c *closeRaceFile) Sync() error                 { c.fs.op(); return c.File.Sync() }
+func (c *closeRaceFile) Close() error                { c.fs.op(); return c.File.Close() }
+
+// TestCloseWaitsForFlusher parks the background flusher inside a snapshot
+// Rename and closes the server: Close must wait for the flusher's round to
+// finish before its own shutdown flush, so no snapshot op runs after Close
+// returns.
+func TestCloseWaitsForFlusher(t *testing.T) {
+	fs := &closeRaceFS{closed: make(chan struct{}), entered: make(chan struct{}), done: make(chan struct{})}
+	s := New(Options{StateDir: t.TempDir(), SnapshotFS: fs, FlushInterval: time.Millisecond})
+	fs.started = s.base.Done()
+	bench := benchmarks.SmallBank()
+	reg, err := s.Register(bench.Schema, bench.Programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.armed.Store(true)
+	s.markDirty(s.reg.peek(reg.ID))
+	select {
+	case <-fs.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the background flusher never reached the snapshot rename")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	close(fs.closed)
+	select {
+	case <-fs.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked rename never finished")
+	}
+	if n := fs.late.Load(); n != 0 {
+		t.Errorf("%d snapshot op(s) ran after Close returned", n)
 	}
 }
 

@@ -230,6 +230,9 @@ type Server struct {
 	dirtyMu       sync.Mutex
 	dirty         map[string]*workload
 	failedPersist map[string]bool
+	// flushDone is closed when the background flusher exits (nil when
+	// persistence is off and no flusher runs); Close waits on it.
+	flushDone chan struct{}
 
 	// lastEnforce is the unix-nano time of the last release-path budget
 	// enforcement (see release).
@@ -313,6 +316,7 @@ func New(opts Options) *Server {
 		s.loadState(opts.StateDir)
 	}
 	if s.snap != nil {
+		s.flushDone = make(chan struct{})
 		go s.flushLoop()
 	}
 	s.handle("GET /healthz", epHealthz, s.handleHealthz)
@@ -480,6 +484,7 @@ func (s *Server) markDirty(w *workload) {
 // first clean round restores the cadence and clears the flag. Only
 // started when persistence is enabled.
 func (s *Server) flushLoop() {
+	defer close(s.flushDone)
 	interval := s.opts.FlushInterval
 	consecutive := 0
 	t := time.NewTimer(interval)
@@ -561,15 +566,20 @@ func (s *Server) flushRound() (failed int) {
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Close flushes pending snapshot writes and aborts any coalesced
-// enumerations still running in the background. The final flush is
-// retried with short backoff; if dirty workloads still cannot be
-// persisted the error says how many — their cached results exist only in
-// this process's memory, so callers exiting afterwards should surface the
-// loss (cmd/robustserved exits non-zero). Registered workloads (and their
-// caches) are simply garbage once the Server is unreferenced.
+// enumerations still running in the background. It first waits for the
+// background flusher to finish its round and exit, so no snapshot op runs
+// after Close returns. The final flush is retried with short backoff; if
+// dirty workloads still cannot be persisted the error says how many —
+// their cached results exist only in this process's memory, so callers
+// exiting afterwards should surface the loss (cmd/robustserved exits
+// non-zero). Registered workloads (and their caches) are simply garbage
+// once the Server is unreferenced.
 func (s *Server) Close() error {
 	s.BeginDrain()
 	s.baseCancel()
+	if s.flushDone != nil {
+		<-s.flushDone // the flusher may be mid-round
+	}
 	var failed int
 	for attempt := 1; ; attempt++ {
 		if failed = s.flushRound(); failed == 0 {
@@ -1021,10 +1031,6 @@ func (s *Server) handleCheck(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
-	if !s.admit(rw) {
-		return
-	}
-	defer s.admitDone()
 	w := s.lookup(rw, r)
 	if w == nil {
 		return
@@ -1045,6 +1051,10 @@ func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
+	if !enumerable(rw, programs) || !s.admit(rw) {
+		return
+	}
+	defer s.admitDone()
 	// A ?debug=timings request wants this run's spans, so it bypasses both
 	// the result cache (stored bytes would replay another run's document —
 	// and cached bodies must stay byte-identical, so the timings block is
@@ -1113,6 +1123,21 @@ func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
 	if w.results.put(key, respVersion, append([]byte(nil), buf.Bytes()...)) {
 		s.markDirty(w)
 	}
+}
+
+// enumerable rejects a subset enumeration over more than
+// analysis.MaxSubsetPrograms programs with a structured 400. Both subsets
+// endpoints call it before admission, so an infeasible request never
+// takes an analysis slot and is told the same thing on either endpoint.
+func enumerable(rw http.ResponseWriter, programs []*btp.Program) bool {
+	if n := len(programs); n > analysis.MaxSubsetPrograms {
+		writeJSON(rw, http.StatusBadRequest, wire.Error{
+			Error: fmt.Sprintf("subset enumeration over %d programs exceeds the limit of %d", n, analysis.MaxSubsetPrograms),
+			Code:  "too_many_programs",
+		})
+		return false
+	}
+	return true
 }
 
 // writeRaw sends pre-encoded wire bytes with the workload-version header.

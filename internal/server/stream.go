@@ -34,7 +34,7 @@ import (
 
 // lineBufPool recycles the NDJSON line buffers and the response-encode
 // buffers of the subsets handlers (the wire side of the allocs/op work;
-// the engine side pools its lattice bitsets).
+// the engine side reuses its walk workers' bitsets across levels).
 var lineBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getLineBuf() *bytes.Buffer {
@@ -89,10 +89,6 @@ func streamRequest(r *http.Request) (*wire.StreamRequest, error) {
 }
 
 func (s *Server) handleSubsetsStream(rw http.ResponseWriter, r *http.Request) {
-	if !s.admit(rw) {
-		return
-	}
-	defer s.admitDone()
 	w := s.lookup(rw, r)
 	if w == nil {
 		return
@@ -128,11 +124,10 @@ func (s *Server) handleSubsetsStream(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	if len(programs) > 20 {
-		writeError(rw, http.StatusBadRequest,
-			fmt.Errorf("subset enumeration over %d programs is infeasible", len(programs)))
+	if !enumerable(rw, programs) || !s.admit(rw) {
 		return
 	}
+	defer s.admitDone()
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 

@@ -143,6 +143,37 @@ func TestSubsetsStreamFullMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestSubsetsStreamCachesCertifiedCores: the /subsets answer a complete
+// mode=all stream stores in the result cache carries the certified-core
+// tally, exactly as a direct /subsets enumeration would — after
+// certifying {Bal, Am}, the cached answer reports certified_cores 1.
+func TestSubsetsStreamCachesCertifiedCores(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	id := registerSmallBank(t, ts)
+	var cert wire.CertifyResponse
+	resp, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/certify",
+		&wire.CertifyRequest{CheckRequest: wire.CheckRequest{Programs: []string{"Bal", "Am"}}}, &cert)
+	if resp.StatusCode != http.StatusOK || cert.Status != "certified" {
+		t.Fatalf("certify {Bal, Am}: %d %+v\n%s", resp.StatusCode, cert, raw)
+	}
+	if verdicts, _, _ := streamLines(t, http.MethodGet,
+		ts.URL+"/v1/workloads/"+id+"/subsets:stream?mode=all", nil); len(verdicts) != 31 {
+		t.Fatalf("full stream emitted %d verdicts, want 31", len(verdicts))
+	}
+	var subs wire.SubsetsResponse
+	if resp, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/subsets", nil, &subs); resp.StatusCode != http.StatusOK {
+		t.Fatalf("subsets: %d\n%s", resp.StatusCode, raw)
+	}
+	if subs.CertifiedCores != 1 {
+		t.Errorf("subsets after a full stream: certified_cores = %d, want 1", subs.CertifiedCores)
+	}
+	var stats wire.StatsResponse
+	doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &stats)
+	if len(stats.WorkloadStats) != 1 || stats.WorkloadStats[0].ResultCache.Hits != 1 {
+		t.Errorf("/subsets after the stream was not served from the stream's cache entry: %+v", stats.WorkloadStats)
+	}
+}
+
 // TestSubsetsStreamTopK: the k parameter flows through the GET query and
 // the summary ranks the k largest robust subsets; k=0 with mode=top_k is
 // rejected before the stream starts.
@@ -178,9 +209,9 @@ func TestSubsetsStreamTopK(t *testing.T) {
 
 // TestSubsetsStreamDisconnectCancels: closing the client connection mid-
 // stream must cancel the lattice walk — the workload's detector-miss
-// counter stops growing far below the full enumeration. Auction at n=11
-// (2^11−1 = 2047 subsets, sequential) keeps the walk slow enough to
-// observe.
+// counter stops growing far below the full enumeration. Eleven of
+// Auction(11)'s 22 programs (2^11−1 = 2047 subsets, sequential) keep the
+// walk slow enough to observe; all 22 would exceed the enumeration limit.
 func TestSubsetsStreamDisconnectCancels(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	var reg wire.RegisterWorkloadResponse
@@ -192,13 +223,17 @@ func TestSubsetsStreamDisconnectCancels(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		ts.URL+"/v1/workloads/"+reg.ID+"/subsets:stream?parallelism=1", nil)
+		ts.URL+"/v1/workloads/"+reg.ID+"/subsets:stream?parallelism=1"+
+			"&programs=FB1,PB1,FB2,PB2,FB3,PB3,FB4,PB4,FB5,PB5,FB6", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("stream: %d, want 200", res.StatusCode)
 	}
 	// Read a couple of verdict lines to prove the stream is live, then
 	// drop the connection.
@@ -216,20 +251,22 @@ func TestSubsetsStreamDisconnectCancels(t *testing.T) {
 		}
 		return stats.WorkloadStats[0].Cache.Cores.Misses
 	}
-	// The cancel propagates at the next emission; wait for the counter to
-	// stabilize, then require it stays put well below the full lattice.
+	// The cancel propagates at the next mask; the aborted walk then adds
+	// its detector runs to the workload's counter. Wait for the counter to
+	// move and stabilize, then require it stays put well below the full
+	// lattice.
 	var settled uint64
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		a := misses()
 		time.Sleep(50 * time.Millisecond)
 		b := misses()
-		if a == b {
+		if a == b && b > 0 {
 			settled = b
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("detector-miss counter never settled after disconnect")
+			t.Fatalf("detector-miss counter never settled after disconnect (%d)", b)
 		}
 	}
 	time.Sleep(100 * time.Millisecond)

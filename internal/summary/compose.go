@@ -371,14 +371,6 @@ func (d *SubsetDetector) RobustWitness(method Method, members []uint64, s *Detec
 	return false, mask
 }
 
-// WitnessMask returns the node mask of the witness cycle found in the
-// induced subgraph, or nil when it is robust — RobustWitness without the
-// verdict, for callers that already know it.
-func (d *SubsetDetector) WitnessMask(method Method, members []uint64, s *DetectScratch) []uint64 {
-	_, mask := d.RobustWitness(method, members, s)
-	return mask
-}
-
 // markPath sets the nodes of one shortest member-edge path from u to v
 // (exclusive of endpoints, which callers set) into wm. It panics when no
 // path exists: callers only ask for paths whose existence the closure bits

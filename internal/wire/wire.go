@@ -37,8 +37,9 @@ func WriteJSON(w io.Writer, v any) error {
 // RetryAfterSeconds are optional machine-readable extensions (both
 // omitempty, so pre-existing error bodies are byte-identical): overload
 // shedding answers 429 with Code "overloaded" and a RetryAfterSeconds
-// mirroring the Retry-After header, and a recovered handler panic answers
-// 500 with Code "panic".
+// mirroring the Retry-After header, a recovered handler panic answers
+// 500 with Code "panic", and a subset enumeration over more programs than
+// the engine's limit answers 400 with Code "too_many_programs".
 type Error struct {
 	Error             string `json:"error"`
 	Code              string `json:"code,omitempty"`
@@ -333,9 +334,9 @@ type SubsetsResponse struct {
 	Programs    []string   `json:"programs"`
 	Robust      [][]string `json:"robust"`
 	Maximal     [][]string `json:"maximal"`
-	// SubsetsPruned counts the subsets this enumeration decided by the
-	// minimal-non-robust-core containment test instead of running the
-	// cycle detector (0 for the naive oracle and the DisablePruning path).
+	// SubsetsPruned counts the subsets this enumeration decided by core
+	// or cover containment instead of running the cycle detector (0 for
+	// the naive oracle, which runs it on every subset).
 	// Deterministic for a given session state — a fresh CLI run and a
 	// fresh server enumeration report the same value — but a warm session
 	// with seeded cores legitimately prunes more; cached responses replay

@@ -241,8 +241,9 @@ func CheckOptions(schema *Schema, programs []*Program, opts Options) (*Report, e
 // core decides every superset by a bitset-containment test instead of a
 // cycle search (non-robustness is monotone over induced subgraphs), with
 // robust covers pruning the other direction; verdicts are identical to
-// the exhaustive per-subset check. Use RobustSubsetsOptions to bound the
-// parallelism or select the flat path (Options.DisablePruning).
+// the exhaustive per-subset check. At most 20 programs are accepted. Use
+// RobustSubsetsOptions to set the unfold bound or bound the parallelism
+// (Options.Parallelism).
 func RobustSubsets(schema *Schema, programs []*Program, setting Setting, method Method) (*SubsetReport, error) {
 	return RobustSubsetsOptions(schema, programs, Options{Setting: setting, Method: method})
 }
