@@ -1,25 +1,18 @@
-// BenchmarkIntraCheck measures how a SINGLE robustness check scales with
-// cores — the intra-check parallelism of the Parallelism knob, as opposed to
-// the across-subset fanout of BenchmarkRobustSubsets. Each iteration runs
-// the full cold pipeline on an Auction(n) universe (~9n² summary-graph
-// edges): Algorithm 1's pairwise edge derivation sharded across workers
-// (BlockSet.EnsureCtx), graph assembly, the node-closure fixpoint (round-
-// synchronized when parallel) and the type-II cycle search. Construction
-// dominates end to end — detection is microseconds even at n=40 — so the
-// sequential/sharded ratio is the speedup of the sharded stages.
+// BenchmarkIntraCheck measures the latency of a SINGLE cold robustness
+// check as the universe grows, as opposed to the subset enumeration of
+// BenchmarkRobustSubsets. Each iteration runs the full cold pipeline on an
+// Auction(n) universe (~9n² summary-graph edges): Algorithm 1's pairwise
+// edge derivation, graph assembly, the node-closure fixpoint and the
+// type-II cycle search, all on the calling goroutine. Construction
+// dominates end to end — detection is microseconds even at n=40.
 //
 // Reproduce with:
 //
 //	go test -bench 'BenchmarkIntraCheck' -benchtime 20x .
-//
-// On a multi-core runner the sharded variant at GOMAXPROCS should be ≥2×
-// the sequential one at n=40; on a single-core runner the two coincide.
 package mvrc
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/benchmarks"
@@ -31,30 +24,17 @@ func BenchmarkIntraCheck(b *testing.B) {
 	for _, n := range []int{10, 20, 40} {
 		bench := benchmarks.AuctionN(n)
 		ltps := btp.UnfoldAll2(bench.Programs)
-		modes := []struct {
-			name    string
-			workers int
-		}{
-			{"sequential", 1},
-			{"sharded", runtime.GOMAXPROCS(0)},
-		}
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("Auction-n%d/%s", n, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					// A cold block cache per iteration: the benchmark
-					// measures first-check latency, not warm cache reads.
-					bs := summary.NewBlockSet(bench.Schema, summary.SettingAttrDepFK)
-					g, err := summary.ComposeCtx(context.Background(), bs, ltps, mode.workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ok, _ := g.Robust(summary.TypeII)
-					if !ok {
-						b.Fatal("Auction(n) must be robust under attr+fk/type-II")
-					}
+		b.Run(fmt.Sprintf("Auction-n%d/sequential", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// A cold block cache per iteration: the benchmark
+				// measures first-check latency, not warm cache reads.
+				bs := summary.NewBlockSet(bench.Schema, summary.SettingAttrDepFK)
+				ok, _ := summary.Compose(bs, ltps).Robust(summary.TypeII)
+				if !ok {
+					b.Fatal("Auction(n) must be robust under attr+fk/type-II")
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -32,6 +32,13 @@
 // When the baseline was recorded on a different CPU (the `cpu` env line),
 // the comparison would be meaningless, so the gate warns and passes.
 //
+// Both gates compare names with the trailing -<GOMAXPROCS> that go test
+// appends on multi-core runners stripped on both sides, so a baseline
+// recorded on one core count gates a run on another (benchmark names must
+// therefore not end in -<digits> themselves). A gated fragment that
+// matches no baseline benchmark fails the gate: a gate that compares
+// nothing would otherwise pass silently.
+//
 // -gate-allocs does the same for mean allocs/op, with two differences:
 // allocation counts are machine-independent, so the gate runs even when
 // the baseline's CPU differs, and the tolerance is absolute — one extra
@@ -140,25 +147,36 @@ func main() {
 		os.Exit(1)
 	}
 	if base != nil {
-		var regressions []string
-		if *gate != "" {
-			nsRegressions, skipped := checkGate(doc, base, *gate, *threshold)
-			if skipped != "" {
-				fmt.Fprintln(os.Stderr, "benchjson: gate skipped:", skipped)
-			} else {
-				regressions = append(regressions, nsRegressions...)
-			}
+		failures, skipped := gateFailures(doc, base, *gate, *gateAllocs, *threshold)
+		if skipped != "" {
+			fmt.Fprintln(os.Stderr, "benchjson: gate skipped:", skipped)
 		}
-		// The allocation gate never skips on CPU mismatch: allocs/op is a
-		// property of the code path, not the machine.
-		regressions = append(regressions, checkAllocGate(doc, base, *gateAllocs)...)
-		if len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "benchjson: regression:", r)
+		if len(failures) > 0 {
+			for _, f := range failures {
+				fmt.Fprintln(os.Stderr, "benchjson: gate failed:", f)
 			}
 			os.Exit(1)
 		}
 	}
+}
+
+// gateFailures runs the -gate (ns/op) and -gate-allocs checks against the
+// baseline and returns every failure: regressions and gated fragments that
+// match no baseline benchmark. The ns/op gate is skipped, with the reason
+// returned, when the two documents were measured on different CPUs; the
+// allocation gate never skips — allocs/op is a property of the code path,
+// not the machine.
+func gateFailures(doc, base *Doc, gate, gateAllocs string, threshold float64) (failures []string, skipped string) {
+	if gate != "" {
+		var regressions []string
+		if regressions, skipped = checkGate(doc, base, gate, threshold); skipped == "" {
+			failures = append(failures, unmatchedGates(base, gate)...)
+			failures = append(failures, regressions...)
+		}
+	}
+	failures = append(failures, unmatchedGates(base, gateAllocs)...)
+	failures = append(failures, checkAllocGate(doc, base, gateAllocs)...)
+	return failures, skipped
 }
 
 // envKeys are the `key: value` context lines go test prints before results.
@@ -194,23 +212,96 @@ func convert(r io.Reader) (*Doc, error) {
 
 // meanNsOp averages ns/op across repeated entries of each name (-count).
 func meanNsOp(doc *Doc) map[string]float64 {
-	return meanMetric(doc, "ns/op")
+	return meanMetric(doc, "ns/op", func(name string) string { return name })
 }
 
-// meanMetric averages one metric unit across repeated entries of each name.
-func meanMetric(doc *Doc, unit string) map[string]float64 {
+// meanMetric averages one metric unit across repeated entries of each
+// name, keyed by key(name).
+func meanMetric(doc *Doc, unit string, key func(string) string) map[string]float64 {
 	means := make(map[string]float64)
 	counts := make(map[string]int)
 	for _, r := range doc.Benchmarks {
 		if v, ok := r.Metrics[unit]; ok {
-			means[r.Name] += v
-			counts[r.Name]++
+			means[key(r.Name)] += v
+			counts[key(r.Name)]++
 		}
 	}
 	for name := range means {
 		means[name] /= float64(counts[name])
 	}
 	return means
+}
+
+// gateName strips the -<GOMAXPROCS> suffix go test appends to benchmark
+// names when GOMAXPROCS > 1 ("BenchmarkFoo/bar-8" → "BenchmarkFoo/bar").
+func gateName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
+// gateFragments splits a comma-separated -gate/-gate-allocs list.
+func gateFragments(gates string) []string {
+	var frags []string
+	for _, frag := range strings.Split(gates, ",") {
+		if frag = strings.TrimSpace(frag); frag != "" {
+			frags = append(frags, frag)
+		}
+	}
+	return frags
+}
+
+// unmatchedGates reports every gated fragment that no baseline benchmark
+// name contains.
+func unmatchedGates(base *Doc, gates string) (failures []string) {
+	for _, frag := range gateFragments(gates) {
+		matched := false
+		for _, r := range base.Benchmarks {
+			if strings.Contains(gateName(r.Name), frag) {
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			failures = append(failures, fmt.Sprintf("gated fragment %q matches no baseline benchmark", frag))
+		}
+	}
+	return failures
+}
+
+// compareGated calls check once per current benchmark whose name contains
+// a gated fragment and that the baseline also measured, with the two means
+// of unit under gateName, and collects the violations it reports.
+func compareGated(doc, base *Doc, unit, gates string, check func(name string, cur, old float64) (string, bool)) (violations []string) {
+	cur := meanMetric(doc, unit, gateName)
+	old := meanMetric(base, unit, gateName)
+	names := make([]string, 0, len(cur))
+	for name := range cur {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	seen := make(map[string]bool)
+	for _, frag := range gateFragments(gates) {
+		for _, name := range names {
+			if !strings.Contains(name, frag) || seen[name] {
+				continue
+			}
+			seen[name] = true
+			if baseMean, measured := old[name]; measured {
+				if v, bad := check(name, cur[name], baseMean); bad {
+					violations = append(violations, v)
+				}
+			}
+		}
+	}
+	return violations
 }
 
 // checkAllocGate compares mean allocs/op against the baseline for every
@@ -220,39 +311,10 @@ func meanMetric(doc *Doc, unit string) map[string]float64 {
 // repeated runs is a real new allocation. Unlike the ns/op gate this runs
 // across CPU changes — allocs/op does not depend on the machine.
 func checkAllocGate(doc, base *Doc, gates string) (regressions []string) {
-	if gates == "" {
-		return nil
-	}
-	cur := meanMetric(doc, "allocs/op")
-	old := meanMetric(base, "allocs/op")
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	seen := make(map[string]bool)
-	for _, frag := range strings.Split(gates, ",") {
-		frag = strings.TrimSpace(frag)
-		if frag == "" {
-			continue
-		}
-		for _, name := range names {
-			if !strings.Contains(name, frag) || seen[name] {
-				continue
-			}
-			seen[name] = true
-			baseAllocs, measured := old[name]
-			if !measured {
-				continue
-			}
-			if cur[name] > baseAllocs+1 {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s: %.1f allocs/op vs baseline %.1f allocs/op (limit +1)",
-					name, cur[name], baseAllocs))
-			}
-		}
-	}
-	return regressions
+	return compareGated(doc, base, "allocs/op", gates, func(name string, cur, old float64) (string, bool) {
+		return fmt.Sprintf("%s: %.1f allocs/op vs baseline %.1f allocs/op (limit +1)",
+			name, cur, old), cur > old+1
+	})
 }
 
 // checkGate compares the current document against the baseline: every
@@ -265,36 +327,11 @@ func checkGate(doc, base *Doc, gates string, threshold float64) (regressions []s
 	if cur, old := doc.Env["cpu"], base.Env["cpu"]; cur != old {
 		return nil, fmt.Sprintf("baseline cpu %q != current cpu %q", old, cur)
 	}
-	cur := meanNsOp(doc)
-	old := meanNsOp(base)
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	seen := make(map[string]bool)
-	for _, frag := range strings.Split(gates, ",") {
-		frag = strings.TrimSpace(frag)
-		if frag == "" {
-			continue
-		}
-		for _, name := range names {
-			if !strings.Contains(name, frag) || seen[name] {
-				continue
-			}
-			seen[name] = true
-			baseNs, measured := old[name]
-			if !measured || baseNs <= 0 {
-				continue
-			}
-			if ratio := cur[name] / baseNs; ratio > 1+threshold {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s: %.0f ns/op vs baseline %.0f ns/op (%.2fx, threshold %.2fx)",
-					name, cur[name], baseNs, ratio, 1+threshold))
-			}
-		}
-	}
-	return regressions, ""
+	return compareGated(doc, base, "ns/op", gates, func(name string, cur, old float64) (string, bool) {
+		ratio := cur / old
+		return fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f ns/op (%.2fx, threshold %.2fx)",
+			name, cur, old, ratio, 1+threshold), old > 0 && ratio > 1+threshold
+	}), ""
 }
 
 // addSpeedups evaluates the -speedup pairs against the parsed benchmarks.

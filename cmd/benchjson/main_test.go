@@ -222,3 +222,56 @@ func TestCheckAllocGate(t *testing.T) {
 		t.Errorf("empty gate spec produced %v", regs)
 	}
 }
+
+// TestGateStripsProcsSuffix: go test appends -<GOMAXPROCS> to benchmark
+// names on multi-core runners, and a baseline recorded on one core has no
+// suffix. Both gates must still pair the names up, in either direction.
+func TestGateStripsProcsSuffix(t *testing.T) {
+	for name, want := range map[string]string{
+		"BenchmarkRobustSubsets/pruned/attr_dep-2":      "BenchmarkRobustSubsets/pruned/attr_dep",
+		"BenchmarkIntraCheck/Auction-n40/sequential-16": "BenchmarkIntraCheck/Auction-n40/sequential",
+		"BenchmarkIntraCheck/Auction-n40/sequential":    "BenchmarkIntraCheck/Auction-n40/sequential",
+		"BenchmarkServerOverhead":                       "BenchmarkServerOverhead",
+		"BenchmarkOdd-":                                 "BenchmarkOdd-",
+	} {
+		if got := gateName(name); got != want {
+			t.Errorf("gateName(%q) = %q, want %q", name, got, want)
+		}
+	}
+
+	const plain = "BenchmarkRobustSubsets/pruned/attr_dep"
+	if regs := checkAllocGate(allocDoc(plain+"-2", "cpu-a", 47), allocDoc(plain, "cpu-a", 0), "RobustSubsets/pruned"); len(regs) != 1 {
+		t.Errorf("47 allocs/op on 2 cores vs a 1-core baseline of 0 must fail: %v", regs)
+	}
+	if regs := checkAllocGate(allocDoc(plain, "cpu-a", 47), allocDoc(plain+"-8", "cpu-a", 0), "RobustSubsets/pruned"); len(regs) != 1 {
+		t.Errorf("47 allocs/op on 1 core vs an 8-core baseline of 0 must fail: %v", regs)
+	}
+	base := gateDoc("cpuA", map[string]float64{plain: 1000})
+	regs, skip := checkGate(gateDoc("cpuA", map[string]float64{plain + "-2": 2000}), base, "RobustSubsets/pruned", 0.20)
+	if skip != "" || len(regs) != 1 {
+		t.Errorf("2× ns/op on 2 cores vs a 1-core baseline must fail: regs=%v skip=%q", regs, skip)
+	}
+}
+
+// TestGateFailsOnUnmatchedFragment: a gated fragment that names no
+// baseline benchmark fails the gate instead of comparing nothing; the ns/op
+// gate does so only when it is not skipped for a CPU change.
+func TestGateFailsOnUnmatchedFragment(t *testing.T) {
+	const name = "BenchmarkRobustSubsets/pruned/attr_dep"
+	base := allocDoc(name, "cpu-a", 47)
+	cur := allocDoc(name+"-2", "cpu-a", 47)
+
+	if fails, skip := gateFailures(cur, base, "RobustSubsets/pruned", "RobustSubsets/pruned", 0.20); len(fails) != 0 || skip != "" {
+		t.Errorf("matched gates: fails=%v skip=%q", fails, skip)
+	}
+	fails, _ := gateFailures(cur, base, "", "RobustSubsets/pruned,BenchmarkServerOverhead", 0.20)
+	if len(fails) != 1 || !strings.Contains(fails[0], `"BenchmarkServerOverhead" matches no baseline benchmark`) {
+		t.Errorf("unmatched -gate-allocs fragment: %v", fails)
+	}
+	if fails, skip := gateFailures(cur, base, "NoSuchBenchmark", "", 0.20); len(fails) != 1 || skip != "" {
+		t.Errorf("unmatched -gate fragment: fails=%v skip=%q", fails, skip)
+	}
+	if fails, skip := gateFailures(allocDoc(name, "cpu-b", 47), base, "NoSuchBenchmark", "", 0.20); len(fails) != 0 || skip == "" {
+		t.Errorf("CPU-skipped -gate must not fail: fails=%v skip=%q", fails, skip)
+	}
+}

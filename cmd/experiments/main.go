@@ -9,9 +9,9 @@
 //
 // All cells run on one experiments.Suite: each benchmark's programs are
 // unfolded once and the pairwise summary-graph edge blocks are shared
-// across Table 2 and every Figure 6/7 cell. -parallel governs both the
-// subset-enumeration fanout of Figures 6/7 and the intra-check sharding
-// (Algorithm 1 pair derivation + closure fixpoint) of the Figure 8 sweep.
+// across Table 2 and every Figure 6/7 cell. -parallel bounds the
+// subset-enumeration fanout of Figures 6/7; the Figure 8 sweep times
+// single checks, which run on one goroutine.
 package main
 
 import (
@@ -27,7 +27,7 @@ func main() {
 	var (
 		maxN        = flag.Int("maxn", 100, "largest Auction(n) scaling factor for Figure 8")
 		repeats     = flag.Int("repeats", 3, "repetitions per Figure 8 point (median reported)")
-		parallel    = flag.Int("parallel", 0, "analysis workers per cell: subset enumeration + intra-check sharding (0 = GOMAXPROCS, 1 = sequential)")
+		parallel    = flag.Int("parallel", 0, "subset enumeration workers per cell (0 = GOMAXPROCS, 1 = sequential)")
 		skipFigure8 = flag.Bool("skip-figure8", false, "skip the scalability sweep")
 		version     = flag.Bool("version", false, "print version information and exit")
 	)
@@ -67,7 +67,7 @@ func main() {
 				ns = append(ns, n)
 			}
 		}
-		points := experiments.Figure8Parallel(ns, *repeats, *parallel)
+		points := experiments.Figure8(ns, *repeats)
 		fmt.Print(experiments.FormatFigure8(points))
 	}
 }

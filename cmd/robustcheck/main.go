@@ -34,9 +34,8 @@
 //	           "all_maximal_robust", "top_k"
 //	-k         result budget for -mode top_k
 //	-max-subsets  stop the stream after this many emitted verdicts
-//	-parallel  analysis workers: subset enumeration and intra-check
-//	           sharding of edge blocks + closure (default GOMAXPROCS;
-//	           1 = fully sequential)
+//	-parallel  subset enumeration workers (default GOMAXPROCS;
+//	           1 = sequential); also bounds the -certify search
 //	-naive     use the naive per-subset oracle instead of the cached engine
 //	-stats     print summary-graph statistics (Table 2)
 //	-unfold    loop unfolding bound (default 2; 2 is sound per Prop. 6.1)
@@ -87,7 +86,7 @@ func main() {
 		mode      = flag.String("mode", "all", "streaming mode: all, first_non_robust, all_maximal_robust, top_k")
 		topK      = flag.Int("k", 0, "result budget for -mode top_k")
 		maxSub    = flag.Int("max-subsets", 0, "stop the stream after this many emitted verdicts (0 = no cap)")
-		parallel  = flag.Int("parallel", 0, "analysis workers for subset enumeration and intra-check sharding (0 = GOMAXPROCS, 1 = sequential)")
+		parallel  = flag.Int("parallel", 0, "subset enumeration workers (0 = GOMAXPROCS, 1 = sequential)")
 		naive     = flag.Bool("naive", false, "use the naive per-subset oracle instead of the cached engine")
 		stats     = flag.Bool("stats", false, "print summary-graph statistics")
 		unfold    = flag.Int("unfold", 2, "loop unfolding bound")

@@ -34,8 +34,8 @@
 //	-max-bytes      estimated-memory budget across resident workloads;
 //	                size-weighted eviction sheds workloads beyond it
 //	                (0 = count-based LRU only)
-//	-parallel       analysis workers per request: subset enumeration and
-//	                intra-check sharding (0 = GOMAXPROCS). Also the cap for
+//	-parallel       subset enumeration workers per request
+//	                (0 = GOMAXPROCS). Also the cap for
 //	                the per-request "parallelism" field of check/subsets
 //	                bodies (GOMAXPROCS caps when unset); /v1/stats reports
 //	                the resolved default and each workload's last effective
@@ -121,7 +121,7 @@ func main() {
 		stateDir     = flag.String("state-dir", "", "directory for persistent workload snapshots (empty = no persistence)")
 		flushEvery   = flag.Duration("flush-interval", 0, "debounce window for result-cache snapshot writes (0 = default 100ms)")
 		maxBytes     = flag.Int64("max-bytes", 0, "estimated-memory budget across workloads; size-weighted eviction beyond it (0 = count-based LRU only)")
-		parallel     = flag.Int("parallel", 0, "analysis workers per request and cap for per-request parallelism (0 = GOMAXPROCS, 1 = sequential)")
+		parallel     = flag.Int("parallel", 0, "subset enumeration workers per request and cap for per-request parallelism (0 = GOMAXPROCS, 1 = sequential)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request analysis deadline (0 = none)")
 		maxChecks    = flag.Int("max-concurrent-checks", 256, "analysis requests executing at once; beyond it requests are shed with 429 + Retry-After (0 = unlimited)")
 		logLevel     = flag.String("log-level", "info", "structured logging to stderr: debug, info, warn, error, off")

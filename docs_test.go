@@ -59,13 +59,13 @@ func TestDocsMentionCode(t *testing.T) {
 	doc := string(raw)
 	for _, want := range []string{
 		"BlockSet", "Compose", "SubsetDetector", "EnsureCtx",
-		"squaringFixpoint", "RobustSubsets", "Parallelism",
+		"RobustSubsets", "Parallelism",
 		"NaiveRobustSubsets", "last_parallelism",
 		"internal/snapshot", "SizeBytes", "result_cache",
 		"-state-dir", "-max-bytes", "evictions_bytes",
 		"CoreSet", "CoverSet", "subsets_pruned",
-		"typeIIParallel", "RobustWith",
 		"MaxSubsetPrograms", "too_many_programs", "TestWalkRandomWorkloads",
+		"MaxUnfoldBound", "unfold_bound_too_large", "body_too_large",
 		"-flush-interval", "Server.Flush",
 		"RobustSubsetsStream", "subsets:stream", "first_non_robust",
 		"StreamSummary", "streamed_requests", "sched_checked",

@@ -628,7 +628,7 @@ func (s *Session) subsetDetector(ctx context.Context, cfg Config, progs string, 
 		return e.det, nil
 	}
 	s.mu.Unlock()
-	det, err := summary.NewSubsetDetectorCtx(ctx, s.Blocks(cfg.Setting), all, cfg.parallelism())
+	det, err := summary.NewSubsetDetectorCtx(ctx, s.Blocks(cfg.Setting), all)
 	if err != nil {
 		return nil, err
 	}

@@ -14,17 +14,17 @@ import (
 	"repro/internal/obs"
 )
 
-// workerPanicTracer panics on the first matching phase span emitted off the
+// poolPanicTracer panics on the first matching phase span emitted off the
 // test goroutine — i.e. inside an enumeration worker. Sequential spans
 // (emitted on the caller's goroutine) are left alone: a panic there would
 // propagate to the test itself rather than exercise the pool recovery, and
 // in production it is the HTTP middleware's recovery that catches it.
-type workerPanicTracer struct {
+type poolPanicTracer struct {
 	phase string
 	fired atomic.Bool
 }
 
-func (tr *workerPanicTracer) Span(phase string, _ time.Duration) {
+func (tr *poolPanicTracer) Span(phase string, _ time.Duration) {
 	if phase != tr.phase {
 		return
 	}
@@ -45,7 +45,7 @@ func TestLatticePanicSurfacesAsError(t *testing.T) {
 	sess := analysis.NewSession(bench.Schema)
 	cfg := analysis.DefaultConfig()
 	cfg.Parallelism = 4
-	tr := &workerPanicTracer{phase: obs.PhaseDetect}
+	tr := &poolPanicTracer{phase: obs.PhaseDetect}
 	cfg.Tracer = tr
 
 	_, err := sess.RobustSubsetsCtx(context.Background(), bench.Programs, cfg)
@@ -87,7 +87,7 @@ func TestStreamPanicSurfacesAsError(t *testing.T) {
 	sess := analysis.NewSession(bench.Schema)
 	cfg := analysis.DefaultConfig()
 	cfg.Parallelism = 4
-	tr := &workerPanicTracer{phase: obs.PhaseDetect}
+	tr := &poolPanicTracer{phase: obs.PhaseDetect}
 	cfg.Tracer = tr
 
 	_, err := sess.RobustSubsetsStream(context.Background(), bench.Programs, cfg,

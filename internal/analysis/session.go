@@ -41,13 +41,10 @@ type Config struct {
 	// UnfoldBound overrides the loop-unfolding bound; 0 means the paper's
 	// bound of 2 (Proposition 6.1). Bound 1 is unsound in general.
 	UnfoldBound int
-	// Parallelism is the one concurrency knob of the engine, governing both
-	// inter- and intra-check work: the subset-enumeration fanout of
-	// RobustSubsets, the sharded pairwise edge-block construction
-	// (summary.BlockSet.EnsureCtx), the round-synchronized closure
-	// fixpoint of every composed graph and the sharded type-II cycle
-	// search on large graphs. 0 means GOMAXPROCS, 1 forces fully
-	// sequential analysis.
+	// Parallelism bounds the worker pool of subset enumeration: the lattice
+	// walk behind RobustSubsets and RobustSubsetsStream. 0 means GOMAXPROCS,
+	// 1 walks on the calling goroutine. A single check (Check, and every
+	// summary-graph construction) always runs on the calling goroutine.
 	Parallelism int
 	// Tracer receives phase spans (validate/unfold, Algorithm 1 pair
 	// derivation, compose, detect, per-lattice-level, first-verdict) from
@@ -217,7 +214,7 @@ func (s *Session) LTPs(p *btp.Program, bound int) ([]*btp.LTP, error) {
 		return ltps, nil
 	}
 	// Validate and unfold outside the lock, so concurrent resolutions of
-	// different programs (ltpUniverse's parallel prefetch) actually overlap.
+	// different programs (concurrent checks of one session) actually overlap.
 	// A racing duplicate computation of the same program is benign: the
 	// admission below is store-if-absent, so every caller ends up holding
 	// the one memoized unfolding — LTP pointer identity is what the block
@@ -491,69 +488,19 @@ func (s *Session) SizeBytes() int64 {
 }
 
 // ltpUniverse resolves every program's memoized unfolding and the flat
-// concatenation in program order. With workers > 1 the cold programs are
-// validated and unfolded concurrently — LTPs computes outside the session
-// lock, so the fan-out genuinely overlaps; on a warm session every lookup
-// hits the memo and the fan-out is skipped entirely.
-func (s *Session) ltpUniverse(programs []*btp.Program, bound, workers int) ([][]*btp.LTP, []*btp.LTP, error) {
+// concatenation in program order.
+func (s *Session) ltpUniverse(programs []*btp.Program, bound int) ([][]*btp.LTP, []*btp.LTP, error) {
 	groups := make([][]*btp.LTP, len(programs))
-	if workers > len(programs) {
-		workers = len(programs)
-	}
-	if workers > 1 && !s.allMemoized(programs, bound) {
-		errs := make([]error, len(programs))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(programs) {
-						return
-					}
-					groups[i], errs[i] = s.LTPs(programs[i], bound)
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-	} else {
-		for i, p := range programs {
-			ltps, err := s.LTPs(p, bound)
-			if err != nil {
-				return nil, nil, err
-			}
-			groups[i] = ltps
-		}
-	}
 	var all []*btp.LTP
-	for _, g := range groups {
-		all = append(all, g...)
+	for i, p := range programs {
+		ltps, err := s.LTPs(p, bound)
+		if err != nil {
+			return nil, nil, err
+		}
+		groups[i] = ltps
+		all = append(all, ltps...)
 	}
 	return groups, all, nil
-}
-
-// allMemoized reports whether every program's unfolding under the bound is
-// already cached, in which case ltpUniverse's parallel fan-out would only
-// pay goroutine overhead for map hits.
-func (s *Session) allMemoized(programs []*btp.Program, bound int) bool {
-	if bound <= 0 {
-		bound = btp.DefaultUnfoldBound
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range programs {
-		if _, ok := s.unfolded[unfoldKey{program: p, bound: bound}]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Check analyses the program set: validate and unfold (memoized), assemble
@@ -563,11 +510,9 @@ func (s *Session) Check(programs []*btp.Program, cfg Config) (*Result, error) {
 	return s.CheckCtx(context.Background(), programs, cfg)
 }
 
-// CheckCtx is Check under a context. The summary graph is assembled with
-// cfg.Parallelism workers — missing pairwise edge blocks are sharded across
-// the pool and the node-closure fixpoint runs round-synchronized — and the
-// context aborts the assembly between pair chunks and stages; the cycle
-// detection itself is a single sequential pass.
+// CheckCtx is Check under a context, which aborts the summary-graph
+// assembly between pair chunks and stages. The whole check runs on the
+// calling goroutine; cfg.Parallelism does not apply.
 func (s *Session) CheckCtx(ctx context.Context, programs []*btp.Program, cfg Config) (*Result, error) {
 	tr := cfg.Tracer
 	var t0 time.Time
@@ -575,7 +520,7 @@ func (s *Session) CheckCtx(ctx context.Context, programs []*btp.Program, cfg Con
 		ctx = cfg.traceCtx(ctx)
 		t0 = time.Now()
 	}
-	_, ltps, err := s.ltpUniverse(programs, cfg.bound(), cfg.parallelism())
+	_, ltps, err := s.ltpUniverse(programs, cfg.bound())
 	if err != nil {
 		return nil, err
 	}
@@ -588,7 +533,7 @@ func (s *Session) CheckCtx(ctx context.Context, programs []*btp.Program, cfg Con
 	if tr != nil {
 		t0 = time.Now()
 	}
-	g, err := summary.ComposeCtx(ctx, s.Blocks(cfg.Setting), ltps, cfg.parallelism())
+	g, err := summary.ComposeCtx(ctx, s.Blocks(cfg.Setting), ltps, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -601,7 +546,7 @@ func (s *Session) CheckCtx(ctx context.Context, programs []*btp.Program, cfg Con
 	if tr != nil {
 		t0 = time.Now()
 	}
-	ok, w := g.RobustWith(cfg.Method, cfg.parallelism())
+	ok, w := g.Robust(cfg.Method)
 	if tr != nil {
 		tr.Span(obs.PhaseDetect, time.Since(t0))
 	}

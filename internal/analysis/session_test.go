@@ -466,13 +466,11 @@ func TestRetiredProgramNotRememoized(t *testing.T) {
 	}
 }
 
-// TestIntraCheckParallelismEquivalence is the intra-check acceptance test:
-// across every fixed benchmark, all four settings and both methods, a
-// single Check run fully sequentially (Parallelism 1) and one run with
-// sharded edge-block construction + parallel closure (Parallelism 8) must
-// both match the naive oracle — same verdict, identical graph dump,
-// matching witness presence. Under -race this doubles as the data-race test
-// of the sharded construction.
+// TestIntraCheckParallelismEquivalence: the Parallelism knob never reaches
+// a single check. Across every fixed benchmark, all four settings and both
+// methods, a cold Check at Parallelism 1 and at Parallelism 8 must both
+// match the naive oracle — same verdict, identical graph dump, matching
+// witness presence.
 func TestIntraCheckParallelismEquivalence(t *testing.T) {
 	for _, bench := range fixedBenchmarks() {
 		for _, setting := range summary.AllSettings {
@@ -509,11 +507,9 @@ func TestIntraCheckParallelismEquivalence(t *testing.T) {
 	}
 }
 
-// TestIntraCheckLargeUniverseParallelism drives the parallel closure path
-// (≥64 nodes) through the public engine: Auction(40)'s single check must
-// produce the same graph and verdict at Parallelism 1 and GOMAXPROCS-wide
-// sharding, and RobustSubsets over a large-universe program subset must
-// match the sequential report.
+// TestIntraCheckLargeUniverseParallelism: on a large universe (Auction(40),
+// 120 nodes) a single check must produce the same graph and verdict at
+// Parallelism 1 and 4.
 func TestIntraCheckLargeUniverseParallelism(t *testing.T) {
 	bench := benchmarks.AuctionN(40)
 	var base string

@@ -159,7 +159,7 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 		ctx = cfg.traceCtx(ctx)
 		t0 = time.Now()
 	}
-	groups, all, err := s.ltpUniverse(programs, cfg.bound(), cfg.parallelism())
+	groups, all, err := s.ltpUniverse(programs, cfg.bound())
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +429,7 @@ func (w *walker) detect(ctx context.Context, mask int, ws *walkWorker) (bool, []
 	if tr != nil {
 		t0 = time.Now()
 	}
-	g, err := summary.ComposeCtx(ctx, w.bs, ws.ltps, 1)
+	g, err := summary.ComposeCtx(ctx, w.bs, ws.ltps, 0)
 	if err != nil {
 		return false, nil, err
 	}
@@ -437,7 +437,7 @@ func (w *walker) detect(ctx context.Context, mask int, ws *walkWorker) (bool, []
 		tr.Span(obs.PhaseCompose, time.Since(t0))
 		t0 = time.Now()
 	}
-	ok, wit := g.RobustWith(w.cfg.Method, 1)
+	ok, wit := g.Robust(w.cfg.Method)
 	if tr != nil {
 		tr.Span(obs.PhaseDetect, time.Since(t0))
 	}

@@ -126,6 +126,12 @@ func NewLTP(name string, origin *Program, qs ...*Stmt) *LTP {
 // iterations per loop suffice for robustness detection against MVRC.
 const DefaultUnfoldBound = 2
 
+// MaxUnfoldBound is the largest bound a service request may ask for. The
+// LTP count grows exponentially in the bound — on TPC-C, bound 16 already
+// costs ~40 MB to analyse and bound 32 ~700 MB — and no analysis needs
+// more than a few iterations beyond Proposition 6.1's two.
+const MaxUnfoldBound = 4
+
 // Unfold computes the set of LTPs obtained from p by replacing every
 // loop(P1) with 0..bound repetitions of (an unfolding of) P1, every
 // (P1 | P2) with an unfolding of P1 or of P2, and every (P1 | ε) with an

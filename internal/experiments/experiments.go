@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -28,8 +27,7 @@ import (
 // Suite bundles the three fixed benchmarks with their shared analysis
 // sessions and the parallelism used across the analysis.
 type Suite struct {
-	// Parallelism bounds both the subset-enumeration worker pool per cell
-	// and the intra-check sharding (edge blocks, closure fixpoint);
+	// Parallelism bounds the subset-enumeration worker pool per cell;
 	// 0 means GOMAXPROCS.
 	Parallelism int
 
@@ -249,18 +247,8 @@ type Figure8Point struct {
 // paper reports means of 10 runs with confidence intervals; medians are
 // more stable for a reproduction). Each repetition runs on a cold session,
 // so the timings measure the full pipeline — unfolding, Algorithm 1 edge
-// derivation and cycle detection — not cache hits. The intra-check stages
-// run on GOMAXPROCS workers; Figure8Parallel takes an explicit worker
-// count.
+// derivation and cycle detection — not cache hits.
 func Figure8(ns []int, repeats int) []Figure8Point {
-	return Figure8Parallel(ns, repeats, 0)
-}
-
-// Figure8Parallel is Figure8 with an explicit intra-check worker count
-// (0 means GOMAXPROCS, 1 reproduces the fully sequential pipeline): the
-// Algorithm 1 pair derivation is sharded and the closure fixpoint runs
-// round-synchronized across that many workers.
-func Figure8Parallel(ns []int, repeats, parallelism int) []Figure8Point {
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -270,7 +258,7 @@ func Figure8Parallel(ns []int, repeats, parallelism int) []Figure8Point {
 		var best Figure8Point
 		totals := make([]time.Duration, 0, repeats)
 		for r := 0; r < repeats; r++ {
-			p := measureAuctionN(b, n, parallelism)
+			p := measureAuctionN(b, n)
 			totals = append(totals, p.Total)
 			if r == 0 {
 				best = p
@@ -283,7 +271,7 @@ func Figure8Parallel(ns []int, repeats, parallelism int) []Figure8Point {
 	return out
 }
 
-func measureAuctionN(b *benchmarks.Benchmark, n, parallelism int) Figure8Point {
+func measureAuctionN(b *benchmarks.Benchmark, n int) Figure8Point {
 	sess := analysis.NewSession(b.Schema)
 	start := time.Now()
 	var ltps []*btp.LTP
@@ -295,11 +283,7 @@ func measureAuctionN(b *benchmarks.Benchmark, n, parallelism int) Figure8Point {
 		ltps = append(ltps, ls...)
 	}
 	t0 := time.Now()
-	bs := sess.Blocks(summary.SettingAttrDepFK)
-	g, err := summary.ComposeCtx(context.Background(), bs, ltps, parallelism)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: Auction(%d): %v", n, err))
-	}
+	g := summary.Compose(sess.Blocks(summary.SettingAttrDepFK), ltps)
 	t1 := time.Now()
 	robustOK, _ := g.Robust(summary.TypeII)
 	t2 := time.Now()

@@ -46,11 +46,9 @@ type Checker struct {
 	// bound of 2 (Proposition 6.1). Exposed for the ablation study only —
 	// bound 1 is unsound in general.
 	UnfoldBound int
-	// Parallelism is the engine's one concurrency knob: it bounds the
-	// worker pool RobustSubsets fans subset masks out over AND the
-	// intra-check sharding of every summary-graph construction (pairwise
-	// edge blocks, closure fixpoint, large-graph cycle search). 0 means
-	// GOMAXPROCS, 1 forces fully sequential analysis.
+	// Parallelism bounds the worker pool of subset enumeration
+	// (RobustSubsets). 0 means GOMAXPROCS, 1 enumerates on the calling
+	// goroutine.
 	Parallelism int
 	// Tracer receives phase spans from every analysis run through this
 	// Checker; see analysis.Config.Tracer. nil (the default) is the no-op

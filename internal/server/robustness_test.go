@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/benchmarks"
+	"repro/internal/btp"
 	"repro/internal/faultfs"
 	"repro/internal/wire"
 )
@@ -163,14 +165,26 @@ func TestSubsetsRejectTooManyPrograms(t *testing.T) {
 	probe("idle")
 
 	// Hold the only admission slot with a blocked SmallBank enumeration.
-	id := registerSmallBank(t, ts)
+	release := holdAdmission(t, s, ts, registerSmallBank(t, ts))
+	probe("saturated")
+	if n := s.shed.Load(); n != 0 {
+		t.Errorf("over-limit requests were shed (%d) instead of rejected before admission", n)
+	}
+	release()
+}
+
+// holdAdmission parks one subsets enumeration of workload id inside its
+// coalesced flight, holding an admission slot until the returned release
+// is called; release waits for the parked request to finish 200.
+func holdAdmission(t *testing.T, s *Server, ts *httptest.Server, id string) (release func()) {
+	t.Helper()
 	started := make(chan struct{})
-	release := make(chan struct{})
-	var releaseOnce sync.Once
-	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+	unblock := make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(unblock) }) })
 	s.testFlightHook = func() {
 		close(started)
-		<-release
+		<-unblock
 	}
 	leader := make(chan int, 1)
 	go func() {
@@ -184,13 +198,92 @@ func TestSubsetsRejectTooManyPrograms(t *testing.T) {
 		leader <- resp.StatusCode
 	}()
 	<-started
-	probe("saturated")
-	if n := s.shed.Load(); n != 0 {
-		t.Errorf("over-limit requests were shed (%d) instead of rejected before admission", n)
+	return func() {
+		t.Helper()
+		once.Do(func() { close(unblock) })
+		if status := <-leader; status != http.StatusOK {
+			t.Fatalf("held enumeration finished %d, want 200", status)
+		}
 	}
-	releaseOnce.Do(func() { close(release) })
-	if status := <-leader; status != http.StatusOK {
-		t.Fatalf("blocked enumeration finished %d, want 200", status)
+}
+
+// TestUnfoldBoundLimit: every endpoint that takes a CheckRequest refuses an
+// unfold_bound above btp.MaxUnfoldBound with a structured 400 — before
+// admission, so the answer is the same while the only analysis slot is held
+// and nothing is shed — and accepts the limit itself.
+func TestUnfoldBoundLimit(t *testing.T) {
+	s, ts := newTestServer(t, Options{MaxConcurrentChecks: 1})
+	id := registerSmallBank(t, ts)
+	base := ts.URL + "/v1/workloads/" + id
+	over := btp.MaxUnfoldBound + 1
+	type probe struct {
+		method, url string
+		body        any
+	}
+	probes := func(bound int) []probe {
+		req := wire.CheckRequest{UnfoldBound: bound, Programs: []string{"Bal", "DC"}}
+		return []probe{
+			{http.MethodPost, base + "/check", &req},
+			{http.MethodPost, base + "/subsets", &req},
+			{http.MethodPost, base + "/subsets:stream", &wire.StreamRequest{CheckRequest: req}},
+			{http.MethodGet, base + fmt.Sprintf("/subsets:stream?unfold_bound=%d", bound), nil},
+			{http.MethodPost, base + "/certify", &wire.CertifyRequest{CheckRequest: req}},
+		}
+	}
+	refuse := func(phase string) {
+		t.Helper()
+		for _, p := range probes(over) {
+			resp, raw := doJSON(t, p.method, p.url, p.body, nil)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: %s %s with bound %d: %d, want 400\n%s", phase, p.method, p.url, over, resp.StatusCode, raw)
+			}
+			want := fmt.Sprintf("unfold_bound %d exceeds the limit of %d", over, btp.MaxUnfoldBound)
+			if e := decodeError(t, raw); e.Code != "unfold_bound_too_large" || e.Error != want {
+				t.Errorf("%s: %s %s body = %+v, want code unfold_bound_too_large and %q", phase, p.method, p.url, e, want)
+			}
+		}
+	}
+	refuse("idle")
+	for _, p := range probes(btp.MaxUnfoldBound) {
+		if resp, raw := doJSON(t, p.method, p.url, p.body, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s with bound %d: %d, want 200\n%s", p.method, p.url, btp.MaxUnfoldBound, resp.StatusCode, raw)
+		}
+	}
+
+	release := holdAdmission(t, s, ts, id)
+	refuse("saturated")
+	if n := s.shed.Load(); n != 0 {
+		t.Errorf("over-limit requests were shed (%d) instead of refused before admission", n)
+	}
+	release()
+}
+
+// TestRequestBodyLimit: a body over maxBodyBytes — a :fromSQL script or a
+// /check request — is answered 413 with code body_too_large instead of
+// being decoded, and the server keeps serving afterwards.
+func TestRequestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	id := registerSmallBank(t, ts)
+	pad := strings.Repeat("x", maxBodyBytes)
+	for _, p := range []struct {
+		url  string
+		body any
+	}{
+		{ts.URL + "/v1/workloads:fromSQL", &wire.FromSQLRequest{Script: "-- " + pad}},
+		{ts.URL + "/v1/workloads/" + id + "/check", &wire.CheckRequest{Programs: []string{pad}}},
+	} {
+		resp, raw := doJSON(t, http.MethodPost, p.url, p.body, nil)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a %d-byte body: %d, want 413\n%.200s", p.url, len(pad), resp.StatusCode, raw)
+		}
+		if e := decodeError(t, raw); e.Code != "body_too_large" {
+			t.Errorf("POST %s: body = %+v, want code body_too_large", p.url, e)
+		}
+	}
+	resp, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/check",
+		&wire.CheckRequest{Programs: []string{"Bal"}}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("check after oversized bodies: %d, want 200\n%s", resp.StatusCode, raw)
 	}
 }
 

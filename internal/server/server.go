@@ -27,10 +27,9 @@
 // docs/ARCHITECTURE.md): the -parallel option is the per-request default
 // and cap, requests may lower or (up to the cap) raise it via the
 // "parallelism" body field, and /v1/stats reports the resolved default
-// plus each workload's last effective value. The knob covers both the
-// subset-enumeration fanout (Figures 6/7 of the paper) and the intra-check
-// sharding of Algorithm 1's pairwise edge derivation and the closure
-// fixpoint.
+// plus each workload's last effective value. The knob bounds the
+// subset-enumeration fanout (Figures 6/7 of the paper); a single check
+// runs on its request's goroutine.
 //
 // API (JSON over HTTP; see internal/wire for the body types):
 //
@@ -795,16 +794,43 @@ func (s *Server) analysisError(rw http.ResponseWriter, r *http.Request, err erro
 	writeError(rw, analysisStatus(err), err)
 }
 
-// decodeBody decodes a JSON request body into v. An empty body is allowed
-// when optional is true (the zero value then stands for the defaults).
-func decodeBody(r *http.Request, v any, optional bool) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every JSON request body, :fromSQL scripts and PATCH
+// SQL included (the nine corpus scripts of internal/sqlbtp/testdata total
+// 40 KB).
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+// An empty body is allowed when optional is true (the zero value then
+// stands for the defaults).
+func decodeBody(rw http.ResponseWriter, r *http.Request, v any, optional bool) error {
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if errors.Is(err, io.EOF) && optional {
 		return nil
 	}
-	return err
+	if err != nil {
+		return fmt.Errorf("decode: %w", err)
+	}
+	return nil
+}
+
+// badRequest answers a request the client has to change: 413 with code
+// body_too_large for a body over maxBodyBytes, otherwise 400, carrying the
+// code of a wire.CodedError. Handlers call it before admission, so a
+// refused request never takes an analysis slot.
+func badRequest(rw http.ResponseWriter, err error) {
+	body := wire.Error{Error: err.Error()}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	var coded *wire.CodedError
+	switch {
+	case errors.As(err, &tooLarge):
+		status, body.Code = http.StatusRequestEntityTooLarge, "body_too_large"
+	case errors.As(err, &coded):
+		body.Code = coded.Code
+	}
+	writeJSON(rw, status, body)
 }
 
 // requestCtx derives the analysis context for one request: the client's
@@ -881,8 +907,8 @@ func effectiveParallelism(p int) int {
 
 func (s *Server) handleRegister(rw http.ResponseWriter, r *http.Request) {
 	var req wire.RegisterWorkloadRequest
-	if err := decodeBody(r, &req, false); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := decodeBody(rw, r, &req, false); err != nil {
+		badRequest(rw, err)
 		return
 	}
 	var (
@@ -940,8 +966,8 @@ func (s *Server) handleRegister(rw http.ResponseWriter, r *http.Request) {
 // offending source.
 func (s *Server) handleFromSQL(rw http.ResponseWriter, r *http.Request) {
 	var req wire.FromSQLRequest
-	if err := decodeBody(r, &req, false); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := decodeBody(rw, r, &req, false); err != nil {
+		badRequest(rw, err)
 		return
 	}
 	src := sqlbtp.Source{Dialect: req.Dialect, Script: req.Script, DDL: req.DDL}
@@ -986,23 +1012,19 @@ func (s *Server) handleGetWorkload(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCheck(rw http.ResponseWriter, r *http.Request) {
-	if !s.admit(rw) {
-		return
-	}
-	defer s.admitDone()
 	w := s.lookup(rw, r)
 	if w == nil {
 		return
 	}
 	defer s.release(w)
 	var req wire.CheckRequest
-	if err := decodeBody(r, &req, true); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := decodeBody(rw, r, &req, true); err != nil {
+		badRequest(rw, err)
 		return
 	}
 	cfg, err := s.config(&req)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
+		badRequest(rw, err)
 		return
 	}
 	programs, version, err := w.snapshot(req.Programs)
@@ -1010,6 +1032,10 @@ func (s *Server) handleCheck(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
+	if !s.admit(rw) {
+		return
+	}
+	defer s.admitDone()
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	tracer, recorder := s.requestTracer(r)
@@ -1037,13 +1063,13 @@ func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release(w)
 	var req wire.CheckRequest
-	if err := decodeBody(r, &req, true); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := decodeBody(rw, r, &req, true); err != nil {
+		badRequest(rw, err)
 		return
 	}
 	cfg, err := s.config(&req)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
+		badRequest(rw, err)
 		return
 	}
 	programs, version, err := w.snapshot(req.Programs)
@@ -1252,23 +1278,19 @@ func (s *Server) subsetsCoalesced(ctx context.Context, w *workload, key string, 
 // the snapshot persists, so the workload is marked dirty for the next
 // debounced flush.
 func (s *Server) handleCertify(rw http.ResponseWriter, r *http.Request) {
-	if !s.admit(rw) {
-		return
-	}
-	defer s.admitDone()
 	w := s.lookup(rw, r)
 	if w == nil {
 		return
 	}
 	defer s.release(w)
 	var req wire.CertifyRequest
-	if err := decodeBody(r, &req, true); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := decodeBody(rw, r, &req, true); err != nil {
+		badRequest(rw, err)
 		return
 	}
 	cfg, err := s.config(&req.CheckRequest)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
+		badRequest(rw, err)
 		return
 	}
 	programs, version, err := w.snapshot(req.Programs)
@@ -1276,6 +1298,10 @@ func (s *Server) handleCertify(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
+	if !s.admit(rw) {
+		return
+	}
+	defer s.admitDone()
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	tracer, recorder := s.requestTracer(r)
@@ -1311,8 +1337,8 @@ func (s *Server) handlePatch(rw http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release(w)
 	var req wire.PatchProgramRequest
-	if err := decodeBody(r, &req, false); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := decodeBody(rw, r, &req, false); err != nil {
+		badRequest(rw, err)
 		return
 	}
 	if req.SQL == "" {

@@ -47,11 +47,11 @@ func putLineBuf(b *bytes.Buffer) { lineBufPool.Put(b) }
 
 // streamRequest decodes the request from the JSON body (POST) or the
 // query string (GET; programs may be repeated or comma-separated).
-func streamRequest(r *http.Request) (*wire.StreamRequest, error) {
+func streamRequest(rw http.ResponseWriter, r *http.Request) (*wire.StreamRequest, error) {
 	var req wire.StreamRequest
 	if r.Method == http.MethodPost {
-		if err := decodeBody(r, &req, true); err != nil {
-			return nil, fmt.Errorf("decode: %w", err)
+		if err := decodeBody(rw, r, &req, true); err != nil {
+			return nil, err
 		}
 		return &req, nil
 	}
@@ -94,9 +94,9 @@ func (s *Server) handleSubsetsStream(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release(w)
-	req, err := streamRequest(r)
+	req, err := streamRequest(rw, r)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
+		badRequest(rw, err)
 		return
 	}
 	mode, err := wire.ParseStreamMode(req.Mode)
@@ -110,7 +110,7 @@ func (s *Server) handleSubsetsStream(rw http.ResponseWriter, r *http.Request) {
 	}
 	cfg, err := s.config(&req.CheckRequest)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
+		badRequest(rw, err)
 		return
 	}
 	// Streams always run the engine, so they always trace: phase spans —

@@ -5,9 +5,11 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"repro/internal/btp"
+	"repro/internal/obs"
 	"repro/internal/relschema"
 )
 
@@ -19,9 +21,8 @@ import (
 // cDepConds or fkSuppressed.
 //
 // A BlockSet is safe for concurrent use: Ensure and PairEdges may populate
-// the cache from multiple goroutines, and Compose only reads it. For the
-// parallel subset enumeration the caller typically calls Ensure once over
-// the full LTP universe and then fans Compose out over subsets.
+// the cache from multiple goroutines (concurrent checks of one session),
+// and Compose only reads it.
 type BlockSet struct {
 	b builder
 
@@ -211,11 +212,10 @@ func (bs *BlockSet) CachedPairStats(pi, pj *btp.LTP) (edges, counterflow int, ok
 }
 
 // Ensure precomputes the blocks of every ordered pair over the given LTPs,
-// sequentially, so that subsequent Compose calls over subsets of them are
-// pure cache reads. EnsureCtx is the sharded variant behind the Parallelism
-// knob.
+// so that subsequent Compose calls over subsets of them are pure cache
+// reads.
 func (bs *BlockSet) Ensure(ltps []*btp.LTP) {
-	bs.EnsureCtx(context.Background(), ltps, 1)
+	bs.EnsureCtx(context.Background(), ltps, 0)
 }
 
 // Compose assembles the summary graph SuG(P) of the given LTPs from the
@@ -223,11 +223,119 @@ func (bs *BlockSet) Ensure(ltps []*btp.LTP) {
 // edge order — to Build(schema, ltps, setting): Build iterates pi-major
 // over ordered pairs and each pair's edges are contiguous, so concatenating
 // the cached blocks in the same order reproduces the construction exactly.
-// Missing pairs are computed (and cached) on the fly. ComposeCtx is the
-// sharded variant behind the Parallelism knob.
+// Missing pairs are computed (and cached) on the fly.
 func Compose(bs *BlockSet, ltps []*btp.LTP) *Graph {
-	g, _ := ComposeCtx(context.Background(), bs, ltps, 1) // never errs: ctx cannot cancel
+	g, _ := ComposeCtx(context.Background(), bs, ltps, 0) // never errs: ctx cannot cancel
 	return g
+}
+
+// fillChunk is the number of missing pairs fillMissing computes between two
+// polls of the context.
+const fillChunk = 32
+
+// scanPairs reads every ordered pair's cached block in one pass — RLocked
+// per row to bound writer stalls — returning the (pi-major) block table
+// with nil-able gaps and the indices of the pairs that still need
+// computing. Cached pairs are counted as hits in one batch; the cost of a
+// fully warm scan is m map reads per lock instead of a lock per pair.
+func (bs *BlockSet) scanPairs(ltps []*btp.LTP) (blocks [][]Edge, missing []int32) {
+	m := len(ltps)
+	blocks = make([][]Edge, m*m)
+	for i, pi := range ltps {
+		bs.mu.RLock()
+		for j, pj := range ltps {
+			k := i*m + j
+			if blk, ok := bs.blocks[ltpPair{pi, pj}]; ok {
+				blocks[k] = blk
+			} else {
+				missing = append(missing, int32(k))
+			}
+		}
+		bs.mu.RUnlock()
+	}
+	if hits := m*m - len(missing); hits > 0 {
+		bs.hits.Add(uint64(hits))
+	}
+	return blocks, missing
+}
+
+// fillMissing computes the missing pairs of a scanPairs result into their
+// slots. Each computation goes through PairEdges, which records the miss
+// and caches the block (unless retired). The context is polled every
+// fillChunk pairs; on cancellation the context's error is returned and
+// pairs already computed stay cached and valid. A non-nil tracer on the
+// context gets one pairs span covering Algorithm 1's pair derivation — the
+// sub-span of compose that a warm block cache skips entirely (no missing
+// pairs, no span).
+func (bs *BlockSet) fillMissing(ctx context.Context, ltps []*btp.LTP, blocks [][]Edge, missing []int32) error {
+	if len(missing) == 0 {
+		return ctx.Err()
+	}
+	var start time.Time
+	tr := obs.TracerFrom(ctx)
+	if tr != nil {
+		start = time.Now()
+	}
+	m := int32(len(ltps))
+	for c, k := range missing {
+		if c%fillChunk == 0 && ctx.Err() != nil {
+			break
+		}
+		blocks[k] = bs.PairEdges(ltps[k/m], ltps[k%m])
+	}
+	if tr != nil {
+		tr.Span(obs.PhasePairs, time.Since(start))
+	}
+	return ctx.Err()
+}
+
+// EnsureCtx is Ensure under a context, which aborts the pair computation
+// between chunks. A warm Ensure is a single read-locked scan. The trailing
+// int is ignored (it was a worker count); callers pass 0.
+func (bs *BlockSet) EnsureCtx(ctx context.Context, ltps []*btp.LTP, _ int) error {
+	blocks, missing := bs.scanPairs(ltps)
+	return bs.fillMissing(ctx, ltps, blocks, missing)
+}
+
+// ComposeCtx is Compose under a context, which aborts between stages and
+// inside the pair computation. A fully warm compose is one read-locked scan
+// plus the assembly, one cache hit counted per pair. The trailing int is
+// ignored (it was a worker count); callers pass 0.
+func ComposeCtx(ctx context.Context, bs *BlockSet, ltps []*btp.LTP, _ int) (*Graph, error) {
+	blocks, missing := bs.scanPairs(ltps)
+	if err := bs.fillMissing(ctx, ltps, blocks, missing); err != nil {
+		return nil, err
+	}
+	g := &Graph{
+		Setting: bs.b.setting,
+		Nodes:   ltps,
+		schema:  bs.b.schema,
+		nodeIdx: make(map[*btp.LTP]int, len(ltps)),
+	}
+	for i, l := range ltps {
+		g.nodeIdx[l] = i
+	}
+	// Copy the gathered blocks into one exactly-sized edge slice, recording
+	// endpoint indices as we go — every edge of block (fi, ti) runs from
+	// node fi to node ti.
+	m := len(ltps)
+	total := 0
+	for _, blk := range blocks {
+		total += len(blk)
+	}
+	g.Edges = make([]Edge, 0, total)
+	g.edgeFrom = make([]int32, 0, total)
+	g.edgeTo = make([]int32, 0, total)
+	for bi, blk := range blocks {
+		fi, ti := int32(bi/m), int32(bi%m)
+		for range blk {
+			g.edgeFrom = append(g.edgeFrom, fi)
+			g.edgeTo = append(g.edgeTo, ti)
+		}
+		g.Edges = append(g.Edges, blk...)
+	}
+	g.index()
+	return g, nil
 }
 
 // SubsetDetector answers robustness queries for node-induced subgraphs of
@@ -252,10 +360,19 @@ type SubsetDetector struct {
 }
 
 // NewSubsetDetector builds a detector over the LTP universe, computing (or
-// reusing) the pairwise blocks of every ordered pair. NewSubsetDetectorCtx
-// is the sharded variant behind the Parallelism knob.
+// reusing) the pairwise blocks of every ordered pair.
 func NewSubsetDetector(bs *BlockSet, ltps []*btp.LTP) *SubsetDetector {
 	return newSubsetDetector(Compose(bs, ltps), len(ltps))
+}
+
+// NewSubsetDetectorCtx is NewSubsetDetector under a context, which aborts
+// the universe compose.
+func NewSubsetDetectorCtx(ctx context.Context, bs *BlockSet, ltps []*btp.LTP) (*SubsetDetector, error) {
+	g, err := ComposeCtx(ctx, bs, ltps, 0)
+	if err != nil {
+		return nil, err
+	}
+	return newSubsetDetector(g, len(ltps)), nil
 }
 
 // newSubsetDetector indexes a freshly composed universe graph for
@@ -493,10 +610,7 @@ func (d *SubsetDetector) detect(method Method, members []uint64, s *DetectScratc
 }
 
 // fixpoint iterates bitset unions to the transitive closure: row i absorbs
-// row j for every bit j set in row i, until nothing changes. It stays
-// sequential: the per-subset matrices of SubsetDetector.Robust are tiny and
-// the subset enumeration already saturates the worker pool one level up —
-// large universe closures go through squaringFixpoint instead.
+// row j for every bit j set in row i, until nothing changes.
 func fixpoint(rows []bitset) {
 	for changed := true; changed; {
 		changed = false

@@ -119,10 +119,9 @@ func pairCondition(e2, e3 Edge) bool {
 // (S = source(e2), T = target(e3)), is there a non-counterflow edge
 // e1 = (P1 -> P2) with coreach[S] ∋ P2 and reach[T] ∋ P1? Results are
 // memoized per (S, T) node pair in cache (0 = unknown, 1 = no witness,
-// ei+2 = witness edge index); callers own the cache, so parallel workers
-// can each scan with a private one. SubsetDetector.detect (compose.go)
-// mirrors this scan and encoding over its member-filtered closures —
-// changes here must land there too.
+// ei+2 = witness edge index); callers own the cache. SubsetDetector.detect
+// (compose.go) mirrors this scan and encoding over its member-filtered
+// closures — changes here must land there too.
 func (g *Graph) findE1(cache []int32, s, t int) int {
 	n := len(g.Nodes)
 	k := s*n + t
@@ -147,7 +146,7 @@ func (g *Graph) findE1(cache []int32, s, t int) int {
 
 // typeIIPairAt scans the adjacent pairs of counterflow edge e3i (in in-list
 // order) and returns the first witnessing e2 edge index plus its e1, or
-// (-1, -1). This is the per-e3 unit of work the parallel search shards.
+// (-1, -1).
 func (g *Graph) typeIIPairAt(cache []int32, e3i int) (e2i, e1i int) {
 	e3 := g.Edges[e3i]
 	m := g.edgeFrom[e3i]
@@ -275,28 +274,12 @@ func (g *Graph) shortestPath(from, to *btp.LTP) []Edge {
 // incomplete, so false does not prove non-robustness). The witness is nil
 // when robust.
 func (g *Graph) Robust(m Method) (bool, *Witness) {
-	return g.RobustWith(m, 1)
-}
-
-// RobustWith is Robust with a worker budget (the engine's one Parallelism
-// convention: 0 means GOMAXPROCS, 1 forces sequential detection). For
-// type-II detection on graphs of at least parallelDetectMinNodes nodes the
-// counterflow-edge outer loop is sharded across the pool (typeIIParallel),
-// with a bit-identical verdict and the same first witness the sequential
-// scan selects; smaller graphs and type-I detection stay sequential — they
-// are microseconds at any size the enumeration guard admits.
-func (g *Graph) RobustWith(m Method, workers int) (bool, *Witness) {
 	var found bool
 	var w *Witness
-	switch m {
-	case TypeI:
+	if m == TypeI {
 		found, w = g.HasTypeICycle()
-	default:
-		if resolveWorkers(workers) > 1 && len(g.Nodes) >= parallelDetectMinNodes {
-			found, w = g.typeIIParallel(resolveWorkers(workers))
-		} else {
-			found, w = g.HasTypeIICycle()
-		}
+	} else {
+		found, w = g.HasTypeIICycle()
 	}
 	return !found, w
 }

@@ -371,16 +371,11 @@ func Build(schema *relschema.Schema, ltps []*btp.LTP, setting Setting) *Graph {
 	return g
 }
 
-// index fills adjacency lists and reachability closures sequentially. It is
-// called once per graph — including once per composed subset graph during
-// subset enumeration — so it allocates flat backing arrays instead of
-// growing per-node slices.
-func (g *Graph) index() { g.indexWith(1) }
-
-// indexWith is index with a worker budget for the closure computation
-// (0 means GOMAXPROCS, 1 keeps everything sequential). Adjacency filling is
-// linear in the edge count and stays sequential either way.
-func (g *Graph) indexWith(workers int) {
+// index fills adjacency lists and reachability closures. It is called once
+// per graph — including once per composed subset graph during subset
+// enumeration — so it allocates flat backing arrays instead of growing
+// per-node slices.
+func (g *Graph) index() {
 	n := len(g.Nodes)
 	m := len(g.Edges)
 	// Degree-counted adjacency: one backing array per direction.
@@ -407,18 +402,26 @@ func (g *Graph) indexWith(workers int) {
 		g.out[fi] = append(g.out[fi], ei)
 		g.in[ti] = append(g.in[ti], ei)
 	}
-	// Reflexive-transitive closure over node-level adjacency. Most graphs
-	// here are small (≤ a few hundred nodes); large Auction(n) universes
-	// profit from the parallel fixpoint when workers allow it.
-	g.reach = closuresParallel(g.edgeFrom, g.edgeTo, n, resolveWorkers(workers))
-	g.coreach = closuresParallel(g.edgeTo, g.edgeFrom, n, resolveWorkers(workers))
+	// Reflexive-transitive closure over node-level adjacency.
+	g.reach = closures(g.edgeFrom, g.edgeTo, n)
+	g.coreach = closures(g.edgeTo, g.edgeFrom, n)
 }
 
 // closures computes, for each node, the reflexive-transitive closure of the
 // edge relation given by parallel endpoint arrays (swap the arguments for
 // the backward closure) by iterating bitset unions to a fixpoint. All
-// bitsets are carved from one backing array. It is the single-worker case
-// of closuresParallel, which shares the seeding so the two can never drift.
+// bitsets are carved from one backing array.
 func closures(from, to []int32, n int) []bitset {
-	return closuresParallel(from, to, n, 1)
+	words := (n + 63) / 64
+	backing := make([]uint64, n*words)
+	out := make([]bitset, n)
+	for i := 0; i < n; i++ {
+		out[i] = bitset(backing[i*words : (i+1)*words])
+		out[i].set(i)
+	}
+	for ei := range from {
+		out[from[ei]].set(int(to[ei]))
+	}
+	fixpoint(out)
+	return out
 }

@@ -17,11 +17,9 @@
 //   - SubsetDetector (compose.go) answers per-subset robustness verdicts on
 //     the composed universe graph filtered by a node bitmask,
 //     allocation-free, for the exponential enumeration of Figures 6 and 7.
-//   - parallel.go shards the two super-linear stages of a single large
-//     construction across a worker pool: EnsureCtx fans the pairwise edge
-//     derivation out in chunks, and squaringFixpoint computes the
-//     node-closure bitsets as a round-synchronized parallel fixpoint. Both
-//     are bit-identical to their sequential counterparts.
+//
+// Every construction and detection here runs on the calling goroutine; the
+// only worker pool of the analysis is the lattice walk's, one layer up.
 package summary
 
 import "repro/internal/btp"

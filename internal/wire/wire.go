@@ -38,13 +38,24 @@ func WriteJSON(w io.Writer, v any) error {
 // omitempty, so pre-existing error bodies are byte-identical): overload
 // shedding answers 429 with Code "overloaded" and a RetryAfterSeconds
 // mirroring the Retry-After header, a recovered handler panic answers
-// 500 with Code "panic", and a subset enumeration over more programs than
-// the engine's limit answers 400 with Code "too_many_programs".
+// 500 with Code "panic", a subset enumeration over more programs than
+// the engine's limit answers 400 with Code "too_many_programs", an
+// unfold_bound above btp.MaxUnfoldBound answers 400 with Code
+// "unfold_bound_too_large", and a request body over the server's size
+// limit answers 413 with Code "body_too_large".
 type Error struct {
 	Error             string `json:"error"`
 	Code              string `json:"code,omitempty"`
 	RetryAfterSeconds int    `json:"retry_after_seconds,omitempty"`
 }
+
+// CodedError is a request error that carries the machine-readable code of
+// its Error envelope.
+type CodedError struct {
+	Code, Msg string
+}
+
+func (e *CodedError) Error() string { return e.Msg }
 
 // --- Settings and methods --------------------------------------------------
 
@@ -213,25 +224,32 @@ type CheckRequest struct {
 	Setting string `json:"setting,omitempty"`
 	// Method is a ParseMethod name; empty means "type2".
 	Method string `json:"method,omitempty"`
-	// UnfoldBound overrides the loop-unfolding bound; 0 means 2.
+	// UnfoldBound overrides the loop-unfolding bound; 0 means 2. Config
+	// refuses bounds above btp.MaxUnfoldBound.
 	UnfoldBound int `json:"unfold_bound,omitempty"`
 	// Programs restricts the check to the named programs (full names or
 	// abbreviations); empty means all registered programs.
 	Programs []string `json:"programs,omitempty"`
-	// Parallelism is the per-request worker count for this analysis,
-	// governing both the subset-enumeration fanout and the intra-check
-	// sharding (pairwise edge blocks, closure fixpoint). 0 means the
-	// server's resolved default; positive values are capped by the server's
-	// bound — the -parallel option, or GOMAXPROCS when the operator left it
-	// unset — so a request can lower concurrency but never raise it past
-	// what the operator allows. Parallelism never changes a verdict, only
-	// the wall-clock, so requests differing only in this field may still be
-	// coalesced.
+	// Parallelism is the per-request worker count of subset enumeration
+	// (and of the /certify search). 0 means the server's resolved default;
+	// positive values are capped by the server's bound — the -parallel
+	// option, or GOMAXPROCS when the operator left it unset — so a request
+	// can lower concurrency but never raise it past what the operator
+	// allows. Parallelism never changes a verdict, only the wall-clock, so
+	// requests differing only in this field may still be coalesced.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
-// Config resolves the request into an engine configuration.
+// Config resolves the request into an engine configuration. An unfold
+// bound above btp.MaxUnfoldBound is a *CodedError "unfold_bound_too_large":
+// the request, not the operator, would pick an exponential cost.
 func (r *CheckRequest) Config() (analysis.Config, error) {
+	if r.UnfoldBound > btp.MaxUnfoldBound {
+		return analysis.Config{}, &CodedError{
+			Code: "unfold_bound_too_large",
+			Msg:  fmt.Sprintf("unfold_bound %d exceeds the limit of %d", r.UnfoldBound, btp.MaxUnfoldBound),
+		}
+	}
 	setting, err := ParseSetting(r.Setting)
 	if err != nil {
 		return analysis.Config{}, err

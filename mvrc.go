@@ -30,14 +30,10 @@
 // instead of re-running the quadratic edge derivation. Subset enumeration
 // (RobustSubsets, the analysis behind Figures 6 and 7) composes all 2^n − 1
 // subset graphs from the same cache and fans them out over a bounded worker
-// pool — the Parallelism knob of Options, defaulting to GOMAXPROCS.
-//
-// The same knob also parallelizes a *single* large check from the inside:
-// missing pairwise edge blocks are sharded across the pool and the
-// reflexive-transitive closure of big summary graphs runs as a
-// round-synchronized parallel fixpoint, so Auction(n)-scale graphs
-// (~9n² edges) scale with cores instead of one. See docs/ARCHITECTURE.md
-// for how the knob flows through the layers.
+// pool — the Parallelism knob of Options, defaulting to GOMAXPROCS. The
+// knob bounds subset enumeration only: a single check runs on the calling
+// goroutine. See docs/ARCHITECTURE.md for how the knob flows through the
+// layers.
 //
 // One-shot calls (Check, CheckWith, RobustSubsets) create a throwaway
 // session internally; long-lived callers that analyse many overlapping
@@ -113,7 +109,7 @@ type (
 	// SubsetReport lists robust and maximal robust subsets.
 	SubsetReport = robust.SubsetReport
 	// Options configures a check: setting, method, unfold bound and the
-	// parallelism of subset enumeration. The zero value is attribute
+	// worker count of subset enumeration. The zero value is attribute
 	// granularity without foreign keys, type-II cycles, bound 2,
 	// GOMAXPROCS workers; DefaultOptions selects the paper's primary
 	// setting (attribute dependencies with foreign keys).
