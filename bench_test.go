@@ -1,8 +1,12 @@
 // Benchmark harness regenerating every table and figure of the paper's
-// evaluation (Section 7), plus ablation benches for the design choices
-// called out in DESIGN.md. Run with:
+// evaluation (Section 7), plus ablation benches for the engine's design
+// choices. Run with:
 //
 //	go test -bench=. -benchmem
+//
+// CI runs every benchmark once (-benchtime=1x) for its inline assertions;
+// timings are profiling data, not a gate. The allocation bounds are tier-1
+// tests, and the service benchmark under bench/ is the performance gate.
 //
 // Mapping:
 //
@@ -10,7 +14,7 @@
 //	BenchmarkFigure6/*         — Figure 6 (maximal robust subsets, Algorithm 2)
 //	BenchmarkFigure7/*         — Figure 7 (maximal robust subsets, type-I method of [3])
 //	BenchmarkFigure8AuctionN/* — Figure 8 (Auction(n) scalability sweep)
-//	BenchmarkRobustSubsets/*   — naive vs cached/parallel subset enumeration
+//	BenchmarkRobustSubsets/*   — naive vs lattice-pruned subset enumeration
 //	BenchmarkAblation*         — design-choice ablations
 //
 // Each bench prints the quantities the paper reports (edge counts, robust
@@ -82,8 +86,8 @@ func benchmarkFigure(b *testing.B, mk func() *benchmarks.Benchmark, setting summ
 	b.ResetTimer()
 	// A fresh Checker (and therefore a cold engine session) per iteration:
 	// these benches measure the full figure pipeline — unfolding, edge
-	// derivation, enumeration — as the paper's timings do. The warm-cache
-	// regime is measured separately by BenchmarkRobustSubsets/cached.
+	// derivation, enumeration — as the paper's timings do. The warm-session
+	// regime is measured separately by BenchmarkRobustSubsets/pruned.
 	for i := 0; i < b.N; i++ {
 		checker := robust.NewChecker(bench.Schema)
 		checker.Setting = setting
@@ -154,7 +158,7 @@ func BenchmarkFigure8AuctionN(b *testing.B) {
 	}
 }
 
-// --- Naive vs cached subset enumeration ------------------------------------
+// --- Naive vs pruned subset enumeration ------------------------------------
 
 // BenchmarkRobustSubsets compares two generations of the SmallBank
 // subset enumeration, per setting:
@@ -169,8 +173,8 @@ func BenchmarkFigure8AuctionN(b *testing.B) {
 // The verdict identity of both paths is asserted in internal/analysis
 // (engine vs naive oracle across 3 benchmarks × 4 settings × 2 methods,
 // plus random selections and random workloads); here only the cost
-// differs. CI uploads these as trend data with a speedup_vs field
-// comparing pruned against naive (cmd/benchjson -speedup).
+// differs. TestNilTracerZeroAllocOverhead (internal/analysis) bounds the
+// allocations of the pruned and pruned-cold loops.
 func BenchmarkRobustSubsets(b *testing.B) {
 	bench := benchmarks.SmallBank()
 	variants := []struct {
@@ -193,7 +197,7 @@ func BenchmarkRobustSubsets(b *testing.B) {
 			checker.Setting = setting
 			// One priming enumeration before the timer: this variant
 			// measures the warm steady state (blocks cached, cores and
-			// covers seeded), so CI's -benchtime=1x samples the same
+			// covers seeded), so a -benchtime=1x run samples the same
 			// regime as a long run instead of the one-off cold start
 			// (which pruned-cold and BenchmarkServerThroughput's cold
 			// cases cover).

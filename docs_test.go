@@ -88,7 +88,9 @@ func TestDocsMentionCode(t *testing.T) {
 		"/healthz/ready", "BeginDrain",
 		"-max-concurrent-checks", "Retry-After", "mvrc_shed_requests_total",
 		"-request-timeout", "PanicError", "mvrc_panics_total",
-		"BenchmarkServerOverhead",
+		"BenchmarkServerOverhead", "TestAdmissionZeroAlloc",
+		"TestNilTracerZeroAllocOverhead",
+		"MaxRequestSchedules", "max_schedules_too_large",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("ARCHITECTURE.md no longer mentions %q — update the doc with the code", want)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/benchmarks"
 	"repro/internal/obs"
 	"repro/internal/robust"
+	"repro/internal/summary"
 )
 
 func phaseMap(spans []obs.PhaseTiming) map[string]obs.PhaseTiming {
@@ -129,27 +130,39 @@ func TestTracerPhasesStream(t *testing.T) {
 	}
 }
 
-// TestNilTracerZeroAllocOverhead pins the zero-cost claim of the nil-fast
-// default: a warm pruned enumeration with observability disabled stays at
-// its seed allocation budget (the CI allocs gate enforces the same bound
-// against the committed benchmark artifact). Sequential, so the count is
-// deterministic.
+// TestNilTracerZeroAllocOverhead pins the allocation budget of the pruned
+// SmallBank enumeration with observability disabled, on the loops of
+// BenchmarkRobustSubsets at default Parallelism: pruned/<setting> reuses
+// one Checker (AllocsPerRun's warm-up run caches its blocks and seeds its
+// cores and covers), pruned-cold enumerates on a fresh Checker per run.
+// AllocsPerRun measures at GOMAXPROCS 1, so the counts are deterministic
+// (47 warm, 314 cold); each bound is the count plus one, and catches any
+// per-span, per-level or per-subset allocation leaking past the
+// nil-tracer branch.
 func TestNilTracerZeroAllocOverhead(t *testing.T) {
 	bench := benchmarks.SmallBank()
-	checker := robust.NewChecker(bench.Schema)
-	checker.Parallelism = 1
-	if _, err := checker.RobustSubsets(bench.Programs); err != nil {
-		t.Fatal(err)
+	type allocCase struct {
+		name    string
+		checker func() *robust.Checker
+		max     float64
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := checker.RobustSubsets(bench.Programs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The warm sequential budget is ~60 allocs (see BENCH_PR6.json); 80
-	// leaves room for jitter while catching any per-span or per-level
-	// allocation leaking past the nil-tracer branch.
-	if allocs > 80 {
-		t.Errorf("warm pruned enumeration = %.0f allocs/op with nil tracer, want <= 80", allocs)
+	var cases []allocCase
+	for _, setting := range summary.AllSettings {
+		warm := robust.NewChecker(bench.Schema)
+		warm.Setting = setting
+		cases = append(cases, allocCase{"pruned/" + setting.String(), func() *robust.Checker { return warm }, 48})
+	}
+	cases = append(cases, allocCase{"pruned-cold", func() *robust.Checker { return robust.NewChecker(bench.Schema) }, 315})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := tc.checker().RobustSubsets(bench.Programs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.max {
+				t.Errorf("%s enumeration = %.0f allocs/op with nil tracer, want <= %.0f", tc.name, allocs, tc.max)
+			}
+		})
 	}
 }

@@ -36,6 +36,14 @@ import (
 	"repro/internal/summary"
 )
 
+// MaxRequestSchedules caps the per-candidate interleaving budget a
+// /certify request may ask for, and is the budget of one that names none.
+// The search is linear in the budget (TPC-C {NO, OS} spends 11–13s on
+// 100,000 interleavings per candidate on 2 vCPUs), so a capped request ends
+// inside the server's default request timeout. Options.MaxSchedules
+// itself stays uncapped for in-process callers and robustcheck.
+const MaxRequestSchedules = 100_000
+
 // Options bound one certification attempt.
 type Options struct {
 	// MaxSchedules caps each candidate's interleaving search (0 = the

@@ -177,8 +177,9 @@ func TestFailAfterNCount(t *testing.T) {
 // TestRealFSZeroAllocOverhead pins the seam's happy-path cost: writing
 // through the OS implementation and through a fault-free injector allocates
 // nothing beyond what package os itself does (zero allocations per Write on
-// an open file). The CI allocs gate enforces the same bound end to end via
-// BenchmarkServerOverhead.
+// an open file). This test is the only bound on the seam's write path;
+// BenchmarkServerOverhead measures the admission gate and the recovery
+// frame, not snapshot writes.
 func TestRealFSZeroAllocOverhead(t *testing.T) {
 	dir := t.TempDir()
 	buf := []byte("0123456789abcdef")

@@ -51,7 +51,7 @@ func Build() BuildInfo {
 }
 
 // PrintVersion writes the one-line -version output shared by every CLI in
-// cmd/, so BENCH artifacts and deployed binaries are attributable to a
+// cmd/, so benchmark results and deployed binaries are attributable to a
 // commit.
 func PrintVersion(w io.Writer, name string) {
 	bi := Build()

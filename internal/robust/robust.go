@@ -166,7 +166,7 @@ func (c *Checker) naiveCheck(programs []*btp.Program) (*Result, error) {
 // NaiveRobustSubsets is the pre-refactor subset enumeration: it
 // re-validates, re-unfolds and re-runs Algorithm 1 for every one of the
 // 2^n − 1 subsets, sequentially. Kept as the oracle for the engine
-// equivalence tests and the naive/cached benchmarks.
+// equivalence tests and the naive/pruned benchmarks.
 func (c *Checker) NaiveRobustSubsets(programs []*btp.Program) (*SubsetReport, error) {
 	n := len(programs)
 	if n > analysis.MaxSubsetPrograms {

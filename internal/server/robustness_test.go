@@ -16,6 +16,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/benchmarks"
 	"repro/internal/btp"
+	"repro/internal/certify"
 	"repro/internal/faultfs"
 	"repro/internal/wire"
 )
@@ -254,6 +255,40 @@ func TestUnfoldBoundLimit(t *testing.T) {
 	refuse("saturated")
 	if n := s.shed.Load(); n != 0 {
 		t.Errorf("over-limit requests were shed (%d) instead of refused before admission", n)
+	}
+	release()
+}
+
+// TestMaxSchedulesLimit: /certify refuses a max_schedules above
+// certify.MaxRequestSchedules with a structured 400 — before admission, so
+// the answer is the same while the only analysis slot is held and nothing
+// is shed — and certifies with the limit itself.
+func TestMaxSchedulesLimit(t *testing.T) {
+	s, ts := newTestServer(t, Options{MaxConcurrentChecks: 1})
+	id := registerSmallBank(t, ts)
+	url := ts.URL + "/v1/workloads/" + id + "/certify"
+	request := func(budget int) *wire.CertifyRequest {
+		return &wire.CertifyRequest{CheckRequest: wire.CheckRequest{Programs: []string{"Bal", "Am"}}, MaxSchedules: budget}
+	}
+
+	var atLimit wire.CertifyResponse
+	resp, raw := doJSON(t, http.MethodPost, url, request(certify.MaxRequestSchedules), &atLimit)
+	if resp.StatusCode != http.StatusOK || atLimit.Status != "certified" {
+		t.Fatalf("max_schedules %d: %d, want 200 certified\n%s", certify.MaxRequestSchedules, resp.StatusCode, raw)
+	}
+
+	release := holdAdmission(t, s, ts, id)
+	over := certify.MaxRequestSchedules + 1
+	resp, raw = doJSON(t, http.MethodPost, url, request(over), nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("max_schedules %d with the only slot held: %d, want 400\n%s", over, resp.StatusCode, raw)
+	}
+	want := fmt.Sprintf("max_schedules %d exceeds the limit of %d", over, certify.MaxRequestSchedules)
+	if e := decodeError(t, raw); e.Code != "max_schedules_too_large" || e.Error != want {
+		t.Errorf("body = %+v, want code max_schedules_too_large and %q", e, want)
+	}
+	if n := s.shed.Load(); n != 0 {
+		t.Errorf("an over-limit request was shed (%d) instead of refused before admission", n)
 	}
 	release()
 }
@@ -780,7 +815,7 @@ func TestAdmissionZeroAlloc(t *testing.T) {
 
 // BenchmarkServerOverhead measures the admission gate plus the recovery
 // frame — the per-request overhead the robustness work added to every
-// analysis route. Gated in CI via benchjson -gate-allocs: 0 allocs/op.
+// analysis route. TestAdmissionZeroAlloc pins the same loop at 0 allocs/op.
 func BenchmarkServerOverhead(b *testing.B) {
 	s := New(Options{MaxConcurrentChecks: 4})
 	defer s.Close()

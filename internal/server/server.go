@@ -1293,6 +1293,11 @@ func (s *Server) handleCertify(rw http.ResponseWriter, r *http.Request) {
 		badRequest(rw, err)
 		return
 	}
+	budget, err := req.Schedules()
+	if err != nil {
+		badRequest(rw, err)
+		return
+	}
 	programs, version, err := w.snapshot(req.Programs)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
@@ -1307,7 +1312,7 @@ func (s *Server) handleCertify(rw http.ResponseWriter, r *http.Request) {
 	tracer, recorder := s.requestTracer(r)
 	cfg.Tracer = tracer
 	res, err := certify.Subset(ctx, w.session(), cfg, programs, certify.Options{
-		MaxSchedules: req.MaxSchedules,
+		MaxSchedules: budget,
 		Parallelism:  cfg.Parallelism,
 	})
 	if err != nil {

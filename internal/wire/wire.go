@@ -41,7 +41,9 @@ func WriteJSON(w io.Writer, v any) error {
 // 500 with Code "panic", a subset enumeration over more programs than
 // the engine's limit answers 400 with Code "too_many_programs", an
 // unfold_bound above btp.MaxUnfoldBound answers 400 with Code
-// "unfold_bound_too_large", and a request body over the server's size
+// "unfold_bound_too_large", a max_schedules above
+// certify.MaxRequestSchedules answers 400 with Code
+// "max_schedules_too_large", and a request body over the server's size
 // limit answers 413 with Code "body_too_large".
 type Error struct {
 	Error             string `json:"error"`
@@ -393,10 +395,27 @@ func NewSubsetsResponse(cfg analysis.Config, programs []*btp.Program, rep *analy
 // (POST /v1/workloads/{id}/certify; robustcheck -certify). The embedded
 // CheckRequest fields select the configuration and program subset exactly
 // as /check does; MaxSchedules bounds each candidate instantiation's
-// interleaving search (0 = the engine default).
+// interleaving search (see Schedules for the server's resolution).
 type CertifyRequest struct {
 	CheckRequest
 	MaxSchedules int `json:"max_schedules,omitempty"`
+}
+
+// Schedules resolves MaxSchedules for the server: 0 and negative values
+// mean certify.MaxRequestSchedules, and a larger value is a *CodedError
+// "max_schedules_too_large" — the request, not the operator, would pick
+// how long the search holds its cores.
+func (r *CertifyRequest) Schedules() (int, error) {
+	switch {
+	case r.MaxSchedules > certify.MaxRequestSchedules:
+		return 0, &CodedError{
+			Code: "max_schedules_too_large",
+			Msg:  fmt.Sprintf("max_schedules %d exceeds the limit of %d", r.MaxSchedules, certify.MaxRequestSchedules),
+		}
+	case r.MaxSchedules <= 0:
+		return certify.MaxRequestSchedules, nil
+	}
+	return r.MaxSchedules, nil
 }
 
 // Certificate is the wire form of a machine-checkable counterexample: the

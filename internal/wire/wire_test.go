@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/benchmarks"
+	"repro/internal/certify"
 	"repro/internal/summary"
 )
 
@@ -78,6 +80,28 @@ func TestCheckRequestConfig(t *testing.T) {
 	}
 	if _, err := (&CheckRequest{Method: "bogus"}).Config(); err == nil {
 		t.Error("bogus method accepted")
+	}
+}
+
+// TestCertifyRequestSchedules: the server's budget is the request's
+// max_schedules up to certify.MaxRequestSchedules, the cap when the request
+// names none, and a *CodedError above it.
+func TestCertifyRequestSchedules(t *testing.T) {
+	for _, tc := range []struct{ req, want int }{
+		{0, certify.MaxRequestSchedules},
+		{-1, certify.MaxRequestSchedules},
+		{1000, 1000},
+		{certify.MaxRequestSchedules, certify.MaxRequestSchedules},
+	} {
+		got, err := (&CertifyRequest{MaxSchedules: tc.req}).Schedules()
+		if err != nil || got != tc.want {
+			t.Errorf("max_schedules %d resolves to %d, %v; want %d", tc.req, got, err, tc.want)
+		}
+	}
+	_, err := (&CertifyRequest{MaxSchedules: certify.MaxRequestSchedules + 1}).Schedules()
+	var coded *CodedError
+	if !errors.As(err, &coded) || coded.Code != "max_schedules_too_large" {
+		t.Errorf("max_schedules over the cap: %v, want a max_schedules_too_large CodedError", err)
 	}
 }
 
