@@ -2,9 +2,9 @@
 // check as the universe grows, as opposed to the subset enumeration of
 // BenchmarkRobustSubsets. Each iteration runs the full cold pipeline on an
 // Auction(n) universe (~9n² summary-graph edges): Algorithm 1's pairwise
-// edge derivation, graph assembly, the node-closure fixpoint and the
-// type-II cycle search, all on the calling goroutine. Construction
-// dominates end to end — detection is microseconds even at n=40.
+// edge derivation and graph assembly in Compose, then the node-closure
+// fixpoint and the type-II cycle search in Robust, all on the calling
+// goroutine. Construction dominates end to end.
 //
 // Reproduce with:
 //

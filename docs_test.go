@@ -58,7 +58,7 @@ func TestDocsMentionCode(t *testing.T) {
 	}
 	doc := string(raw)
 	for _, want := range []string{
-		"BlockSet", "Compose", "SubsetDetector", "EnsureCtx",
+		"BlockSet", "Compose", "RobustWitness", "EnsureCtx",
 		"RobustSubsets", "Parallelism",
 		"NaiveRobustSubsets", "last_parallelism",
 		"internal/snapshot", "SizeBytes", "result_cache",

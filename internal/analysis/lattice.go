@@ -19,7 +19,7 @@ import (
 // whose request covers a core's programs, and merges fresh discoveries
 // back, so a warm session prunes every non-robust subset without a single
 // detector run. Robust covers are kept the same way. Session.Invalidate
-// drops exactly the cores (and memoized universe detectors) touching the
+// drops exactly the cores (and memoized universe graphs) touching the
 // invalidated program — the incremental half the server's PATCH path
 // relies on.
 
@@ -31,18 +31,18 @@ type coreKey struct {
 	bound   int
 }
 
-// detKey identifies one memoized universe detector: the exact ordered
+// universeKey identifies one memoized universe graph: the exact ordered
 // program selection under a setting and bound.
-type detKey struct {
+type universeKey struct {
 	setting summary.Setting
 	bound   int
 	progs   string
 }
 
-// detEntry is one memoized universe detector with the programs it covers
+// universeEntry is one memoized universe graph with the programs it covers
 // (kept for pointer-level invalidation).
-type detEntry struct {
-	det      *summary.SubsetDetector
+type universeEntry struct {
+	g        *summary.Graph
 	programs []*btp.Program
 }
 
@@ -215,9 +215,10 @@ func (s *Session) latticeFor(cfg Config, progs string, programs []*btp.Program, 
 	return e
 }
 
-// selectionCacheMax bounds the per-selection memo maps (lattices, dets): a
-// workload of n programs admits up to 2^n distinct ordered selections, and
-// a long-lived server must not grow a session map per request shape. The
+// selectionCacheMax bounds the per-selection memo maps (lattices,
+// universes): a workload of n programs admits up to 2^n distinct ordered
+// selections, and a long-lived server must not grow a session map per
+// request shape. The
 // maps are pure accelerators — dropping them costs one re-seed / one warm
 // compose scan, never a verdict — so overflow handling is the simplest
 // correct thing: clear and let the hot selections repopulate. The durable
@@ -615,20 +616,20 @@ func restampCertified(log *factLog, i int) *factLog {
 	return fresh
 }
 
-// subsetDetector returns the memoized universe detector for the exact
-// program selection, building (and caching) it on first use. The detector
-// indexes the composed universe graph once; verdicts never depend on cache
-// contents, so a straggler using a just-invalidated detector is correct,
-// merely cold next time.
-func (s *Session) subsetDetector(ctx context.Context, cfg Config, progs string, programs []*btp.Program, all []*btp.LTP) (*summary.SubsetDetector, error) {
-	key := detKey{setting: cfg.Setting, bound: cfg.bound(), progs: progs}
+// universeGraph returns the memoized universe graph for the exact program
+// selection, composing (and caching) it on first use; the collecting walk
+// decides every subset on it with Graph.RobustWitness. Verdicts never
+// depend on cache contents, so a straggler using a just-invalidated graph
+// is correct, merely cold next time.
+func (s *Session) universeGraph(ctx context.Context, cfg Config, progs string, programs []*btp.Program, all []*btp.LTP) (*summary.Graph, error) {
+	key := universeKey{setting: cfg.Setting, bound: cfg.bound(), progs: progs}
 	s.mu.Lock()
-	if e, ok := s.dets[key]; ok {
+	if e, ok := s.universes[key]; ok {
 		s.mu.Unlock()
-		return e.det, nil
+		return e.g, nil
 	}
 	s.mu.Unlock()
-	det, err := summary.NewSubsetDetectorCtx(ctx, s.Blocks(cfg.Setting), all)
+	g, err := summary.ComposeCtx(ctx, s.Blocks(cfg.Setting), all, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -641,13 +642,13 @@ func (s *Session) subsetDetector(ctx context.Context, cfg Config, progs string, 
 		}
 	}
 	if admit {
-		if len(s.dets) >= selectionCacheMax {
-			clear(s.dets) // see selectionCacheMax
+		if len(s.universes) >= selectionCacheMax {
+			clear(s.universes) // see selectionCacheMax
 		}
-		s.dets[key] = &detEntry{det: det, programs: append([]*btp.Program(nil), programs...)}
+		s.universes[key] = &universeEntry{g: g, programs: append([]*btp.Program(nil), programs...)}
 	}
 	s.mu.Unlock()
-	return det, nil
+	return g, nil
 }
 
 // --- Bitset helpers over []uint64 masks -------------------------------------

@@ -110,7 +110,7 @@ func TestSelectionCachesBounded(t *testing.T) {
 	}
 
 	// All 120 permutations of the 5 programs, plus prefixes: > 256 keys in
-	// total across dets and lattices if nothing bounded them.
+	// total across universes and lattices if nothing bounded them.
 	var permute func(ps []*btp.Program, k int)
 	count := 0
 	permute = func(ps []*btp.Program, k int) {
@@ -136,11 +136,11 @@ func TestSelectionCachesBounded(t *testing.T) {
 	}
 
 	sess.mu.Lock()
-	dets, lattices := len(sess.dets), len(sess.lattices)
+	universes, lattices := len(sess.universes), len(sess.lattices)
 	sess.mu.Unlock()
-	if dets > selectionCacheMax || lattices > selectionCacheMax {
-		t.Errorf("selection caches unbounded: %d detectors, %d lattice entries (cap %d)",
-			dets, lattices, selectionCacheMax)
+	if universes > selectionCacheMax || lattices > selectionCacheMax {
+		t.Errorf("selection caches unbounded: %d universe graphs, %d lattice entries (cap %d)",
+			universes, lattices, selectionCacheMax)
 	}
 
 	// Verdicts are unaffected by the clears.

@@ -6,8 +6,8 @@
 // Algorithm 1 (computed once per analysis setting). One lattice walk
 // (walk.go) then enumerates the subsets: minimal non-robust cores and
 // robust covers decide most of them by containment, and the rest run only
-// the cycle detection — on the selection's universe detector, or on a
-// subset graph summary.Compose assembles from cached blocks — fanned out
+// the cycle detection — on the selection's memoized universe graph, or on
+// a subset graph summary.Compose assembles from cached blocks — fanned out
 // over a bounded worker pool.
 //
 // The naive path (re-unfold and re-run Algorithm 1 from scratch for every
@@ -130,11 +130,11 @@ type Session struct {
 	// re-seed when it moves.
 	coreGen map[coreKey]uint64
 	// lattices caches the seeded per-selection pruning state (core +
-	// cover sets); dets memoizes universe SubsetDetectors per exact
-	// program selection, so repeated enumerations skip even the warm
+	// cover sets); universes memoizes the composed universe graph per
+	// exact program selection, so repeated enumerations skip even the warm
 	// compose scan.
-	lattices map[latticeKey]*latticeEntry
-	dets     map[detKey]*detEntry
+	lattices  map[latticeKey]*latticeEntry
+	universes map[universeKey]*universeEntry
 	// retired marks programs passed to Invalidate: checks that were
 	// already in flight may still resolve them, but the results are no
 	// longer memoized — re-admitting entries for a replaced program would
@@ -168,7 +168,7 @@ func NewSession(schema *relschema.Schema) *Session {
 		covers:    make(map[coreKey]*factLog),
 		coreGen:   make(map[coreKey]uint64),
 		lattices:  make(map[latticeKey]*latticeEntry),
-		dets:      make(map[detKey]*detEntry),
+		universes: make(map[universeKey]*universeEntry),
 		retired:   make(map[*btp.Program]bool),
 	}
 }
@@ -295,7 +295,7 @@ func (s *Session) Invalidate(p *btp.Program) int {
 			delete(s.unfolded, k)
 		}
 	}
-	// Drop the memoized universe detectors, cached lattice entries and the
+	// Drop the memoized universe graphs, cached lattice entries and the
 	// core/cover facts touching the program; facts over untouched programs
 	// stay — they describe content that did not change, which is what lets
 	// a PATCHed workload re-derive only the facts involving the new
@@ -308,9 +308,9 @@ func (s *Session) Invalidate(p *btp.Program) int {
 		}
 		return false
 	}
-	for k, e := range s.dets {
+	for k, e := range s.universes {
 		if touches(e.programs) {
-			delete(s.dets, k)
+			delete(s.universes, k)
 		}
 	}
 	for k, e := range s.lattices {
@@ -457,7 +457,8 @@ const (
 )
 
 // SizeBytes estimates the session's resident memory: the memoized
-// unfoldings plus every per-setting edge-block cache (BlockSet.SizeBytes).
+// unfoldings, universe graphs (Graph.SizeBytes) and pruning state plus
+// every per-setting edge-block cache (BlockSet.SizeBytes).
 // It feeds the server's per-workload memory accounting for -max-bytes
 // eviction; like the block-cache estimate it is relative, not exact.
 func (s *Session) SizeBytes() int64 {
@@ -470,8 +471,8 @@ func (s *Session) SizeBytes() int64 {
 	}
 	_, _, _, factBytes := s.factStoresLocked()
 	n += factBytes
-	for _, e := range s.dets {
-		n += e.det.SizeBytes()
+	for _, e := range s.universes {
+		n += e.g.SizeBytes()
 	}
 	for _, e := range s.lattices {
 		n += e.cores.SizeBytes() + e.covers.SizeBytes()
@@ -560,7 +561,7 @@ func (s *Session) CheckCtx(ctx context.Context, programs []*btp.Program, cfg Con
 // every non-robust discovery as a minimal non-robust core and decides
 // supersets of known cores (and subsets of known robust covers) by a
 // bitset containment scan instead of running the detector; the remaining
-// subsets are decided on the selection's memoized universe detector,
+// subsets are decided on the selection's memoized universe graph,
 // fanned over cfg.Parallelism workers, so the expensive Algorithm 1 side
 // conditions run once per LTP pair overall rather than once per subset.
 // Non-robustness is monotone over induced subgraphs, so the pruning is

@@ -40,19 +40,20 @@ import (
 // racing enumerations on a shared session benefit from each other through
 // the session store.
 //
-// The walk takes its detector from the call shape. A collecting walk (no
-// verdict callback: RobustSubsetsCtx) decides misses with the selection's
-// memoized universe summary.SubsetDetector — every ordered pair composed
-// once, each verdict an allocation-free bitmask query — and visits each
+// The walk takes its detector from the call shape; both run the one cycle
+// search of summary.Graph. A collecting walk (no verdict callback:
+// RobustSubsetsCtx) decides misses on the selection's memoized universe
+// graph — every ordered pair composed once, each verdict a
+// Graph.RobustWitness query over the subset's node mask — and visits each
 // level in ascending mask order. A streaming walk composes each miss's own
 // subset graph lazily over the shared BlockSet, so the first verdict costs
 // one program's pairs rather than the universe's, and visits each level in
 // the cost-ordered schedule of sched.go. Each source loses on the other's
 // traffic — lazy composition repeats per-subset block lookups the universe
-// detector pays once, and the universe detector composes every pair before
-// the first verdict — so both stay, behind one walk. The composed subset
-// graph is exactly the universe graph induced on the subset's nodes, so the
-// two sources agree verdict for verdict.
+// graph pays once, and the universe graph composes every pair before the
+// first verdict — so both stay, behind one walk. The composed subset graph
+// is exactly the universe graph induced on the subset's nodes, so the two
+// sources agree verdict for verdict and witness for witness.
 
 // MaxSubsetPrograms is the largest program selection a subset enumeration
 // accepts: the lattice has 2^n − 1 subsets, so 20 programs is already a
@@ -102,14 +103,14 @@ type walker struct {
 	levels  []int32
 	workers []walkWorker
 
-	// Detector source: a collecting walk sets det; a streaming walk sets
-	// bs, groups and ltpIdx (witness edge endpoints → universe positions)
-	// and orders each level with sched.
-	det    *summary.SubsetDetector
-	bs     *summary.BlockSet
-	groups [][]*btp.LTP
-	ltpIdx map[*btp.LTP]int32
-	sched  *schedule
+	// Detector source: a collecting walk sets universe; a streaming walk
+	// sets bs, groups and ltpIdx (witness edge endpoints → universe
+	// positions) and orders each level with sched.
+	universe *summary.Graph
+	bs       *summary.BlockSet
+	groups   [][]*btp.LTP
+	ltpIdx   map[*btp.LTP]int32
+	sched    *schedule
 
 	// emit is the verdict callback; nil for a collecting walk. start anchors
 	// the first_verdict span when the config carries a tracer; emittedFirst
@@ -182,7 +183,7 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 		emit:     emit,
 	}
 	if emit == nil {
-		if w.det, err = s.subsetDetector(ctx, cfg, key, programs, all); err != nil {
+		if w.universe, err = s.universeGraph(ctx, cfg, key, programs, all); err != nil {
 			return nil, err
 		}
 		if tr != nil {
@@ -402,19 +403,19 @@ func (w *walker) process(ctx context.Context, mask int, ws *walkWorker) error {
 
 // detect runs the walk's detector on one miss (ws.members holds its node
 // mask) and returns the verdict plus, when non-robust, the witness cycle's
-// node mask. The universe detector answers on its indexed edge arrays;
-// the streaming source composes the subset's own graph from the BlockSet.
+// node mask. The universe graph answers over the subset's node mask; the
+// streaming source composes the subset's own graph from the BlockSet.
 func (w *walker) detect(ctx context.Context, mask int, ws *walkWorker) (bool, []uint64, error) {
 	tr := w.cfg.Tracer
 	var t0 time.Time
-	if w.det != nil {
+	if w.universe != nil {
 		if ws.scratch == nil {
-			ws.scratch = w.det.NewScratch()
+			ws.scratch = w.universe.NewScratch()
 		}
 		if tr != nil {
 			t0 = time.Now()
 		}
-		ok, wmask := w.det.RobustWitness(w.cfg.Method, ws.members, ws.scratch)
+		ok, wmask := w.universe.RobustWitness(w.cfg.Method, ws.members, ws.scratch)
 		if tr != nil {
 			tr.Span(obs.PhaseDetect, time.Since(t0))
 		}

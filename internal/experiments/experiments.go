@@ -235,8 +235,10 @@ type Figure8Point struct {
 	Edges            int
 	CounterflowEdges int
 	Robust           bool
-	// BuildTime is the time to construct the summary graph; DetectTime the
-	// time for the type-II cycle search; Total their sum plus unfolding.
+	// BuildTime is the time to construct the summary graph (Algorithm 1's
+	// edges and the adjacency index); DetectTime the time for the type-II
+	// cycle search, which includes the node-closure fixpoint; Total their
+	// sum plus unfolding.
 	BuildTime  time.Duration
 	DetectTime time.Duration
 	Total      time.Duration

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -257,6 +258,34 @@ func TestUnfoldBoundLimit(t *testing.T) {
 		t.Errorf("over-limit requests were shed (%d) instead of refused before admission", n)
 	}
 	release()
+}
+
+// TestUnfoldBoundDefaultSpellings: 0 and every negative unfold_bound mean
+// the default bound, so they share one result-cache entry — a client
+// counting down cannot grow the cache (or the snapshot) one entry per
+// spelling.
+func TestUnfoldBoundDefaultSpellings(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	id := registerSmallBank(t, ts)
+	var bodies [][]byte
+	for _, bound := range []int{0, -1, -7} {
+		resp, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/subsets",
+			&wire.CheckRequest{UnfoldBound: bound}, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("unfold_bound %d: %d\n%s", bound, resp.StatusCode, raw)
+		}
+		bodies = append(bodies, raw)
+	}
+	for i, b := range bodies[1:] {
+		if !bytes.Equal(b, bodies[0]) {
+			t.Errorf("body %d differs from the unfold_bound 0 body:\n%s\nvs\n%s", i+1, b, bodies[0])
+		}
+	}
+	var st wire.StatsResponse
+	doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &st)
+	if rc := st.WorkloadStats[0].ResultCache; rc.Entries != 1 || rc.Hits != 2 {
+		t.Errorf("result cache = %+v, want 1 entry / 2 hits", rc)
+	}
 }
 
 // TestMaxSchedulesLimit: /certify refuses a max_schedules above

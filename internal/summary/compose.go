@@ -2,7 +2,6 @@ package summary
 
 import (
 	"context"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -336,294 +335,4 @@ func ComposeCtx(ctx context.Context, bs *BlockSet, ltps []*btp.LTP, _ int) (*Gra
 	}
 	g.index()
 	return g, nil
-}
-
-// SubsetDetector answers robustness queries for node-induced subgraphs of
-// one LTP universe. It composes the universe graph once (priming the block
-// cache) and then detects dangerous cycles per subset directly on the
-// universe's edge arrays, filtered by a membership bitmask — no per-subset
-// graph is materialized, and with a reused DetectScratch the per-query
-// allocation count is zero. Verdicts are identical to running
-// Graph.Robust on the composed subset graph (the subset's summary graph is
-// exactly the universe graph induced on its nodes); the subset enumeration
-// uses this because it only needs verdicts, never witnesses.
-type SubsetDetector struct {
-	edges    []Edge
-	from, to []int32
-	// in[i] lists universe edge indices entering node i; out[i] the edges
-	// leaving it (used by the witness-path reconstruction of RobustWitness).
-	in, out [][]int32
-	// cf lists the counterflow edge indices.
-	cf    []int32
-	n     int
-	words int
-}
-
-// NewSubsetDetector builds a detector over the LTP universe, computing (or
-// reusing) the pairwise blocks of every ordered pair.
-func NewSubsetDetector(bs *BlockSet, ltps []*btp.LTP) *SubsetDetector {
-	return newSubsetDetector(Compose(bs, ltps), len(ltps))
-}
-
-// NewSubsetDetectorCtx is NewSubsetDetector under a context, which aborts
-// the universe compose.
-func NewSubsetDetectorCtx(ctx context.Context, bs *BlockSet, ltps []*btp.LTP) (*SubsetDetector, error) {
-	g, err := ComposeCtx(ctx, bs, ltps, 0)
-	if err != nil {
-		return nil, err
-	}
-	return newSubsetDetector(g, len(ltps)), nil
-}
-
-// newSubsetDetector indexes a freshly composed universe graph for
-// per-subset detection.
-func newSubsetDetector(g *Graph, n int) *SubsetDetector {
-	d := &SubsetDetector{
-		edges: g.Edges, from: g.edgeFrom, to: g.edgeTo,
-		n: n, words: (n + 63) / 64,
-	}
-	inDeg := make([]int, n)
-	outDeg := make([]int, n)
-	for ei := range g.Edges {
-		inDeg[g.edgeTo[ei]]++
-		outDeg[g.edgeFrom[ei]]++
-	}
-	inBacking := make([]int32, len(g.Edges))
-	outBacking := make([]int32, len(g.Edges))
-	d.in = make([][]int32, n)
-	d.out = make([][]int32, n)
-	io, oo := 0, 0
-	for i := 0; i < n; i++ {
-		d.in[i] = inBacking[io : io : io+inDeg[i]]
-		io += inDeg[i]
-		d.out[i] = outBacking[oo : oo : oo+outDeg[i]]
-		oo += outDeg[i]
-	}
-	for ei := range g.Edges {
-		d.in[g.edgeTo[ei]] = append(d.in[g.edgeTo[ei]], int32(ei))
-		d.out[g.edgeFrom[ei]] = append(d.out[g.edgeFrom[ei]], int32(ei))
-		if g.Edges[ei].Class == Counterflow {
-			d.cf = append(d.cf, int32(ei))
-		}
-	}
-	return d
-}
-
-// SizeBytes estimates the detector's resident memory beyond the graph it
-// was built from: adjacency backing arrays and the counterflow index. Used
-// by the session's memory accounting when detectors are memoized across
-// enumerations.
-func (d *SubsetDetector) SizeBytes() int64 {
-	return int64(unsafe.Sizeof(*d)) + int64(len(d.edges))*(2*4+2*4) + int64(cap(d.cf))*4
-}
-
-// NumNodes returns the universe size; membership masks passed to Robust
-// must cover (NumNodes+63)/64 words.
-func (d *SubsetDetector) NumNodes() int { return d.n }
-
-// DetectScratch holds the reusable buffers of one detection worker. Not
-// safe for concurrent use — allocate one per goroutine.
-type DetectScratch struct {
-	backing        []uint64
-	reach, coreach []bitset
-	cache          []int32
-}
-
-// NewScratch allocates a scratch sized for the detector's universe.
-func (d *SubsetDetector) NewScratch() *DetectScratch {
-	s := &DetectScratch{
-		backing: make([]uint64, 2*d.n*d.words),
-		reach:   make([]bitset, d.n),
-		coreach: make([]bitset, d.n),
-		cache:   make([]int32, d.n*d.n),
-	}
-	for i := 0; i < d.n; i++ {
-		s.reach[i] = bitset(s.backing[i*d.words : (i+1)*d.words])
-		s.coreach[i] = bitset(s.backing[(d.n+i)*d.words : (d.n+i+1)*d.words])
-	}
-	return s
-}
-
-// Robust reports whether the subgraph induced by the member nodes (a
-// bitmask over universe node indices) is free of dangerous cycles under the
-// method — the verdict Graph.Robust would return on the composed subset
-// graph.
-func (d *SubsetDetector) Robust(method Method, members []uint64, s *DetectScratch) bool {
-	ok, _, _, _ := d.detect(method, members, s)
-	return ok
-}
-
-// RobustWitness is Robust plus, when the subgraph is non-robust, the node
-// mask of the found witness cycle: the distinguished edges' endpoints and
-// every node on the connecting paths. The mask is what makes recorded
-// non-robust cores *minimal-ish* out of the gate — the lattice enumeration
-// then minimizes it to exact program-level minimality — rather than
-// recording the whole (possibly much larger) subset. A robust subgraph
-// returns (true, nil).
-func (d *SubsetDetector) RobustWitness(method Method, members []uint64, s *DetectScratch) (bool, []uint64) {
-	ok, e1, e2, e3 := d.detect(method, members, s)
-	if ok {
-		return true, nil
-	}
-	mask := make([]uint64, d.words)
-	wm := bitset(mask)
-	if method == TypeI {
-		// Witness: the counterflow edge e3 plus a path closing it back.
-		fi, ti := int(d.from[e3]), int(d.to[e3])
-		wm.set(fi)
-		wm.set(ti)
-		d.markPath(ti, fi, members, wm)
-		return false, mask
-	}
-	// Witness: e1, path(e1.To -> e2.From), e2, e3, path(e3.To -> e1.From) —
-	// the same shape Graph.assembleWitness stitches.
-	p1, p2 := int(d.from[e1]), int(d.to[e1])
-	s2, m := int(d.from[e2]), int(d.to[e2])
-	t := int(d.to[e3])
-	for _, node := range [...]int{p1, p2, s2, m, t} {
-		wm.set(node)
-	}
-	d.markPath(p2, s2, members, wm)
-	d.markPath(t, p1, members, wm)
-	return false, mask
-}
-
-// markPath sets the nodes of one shortest member-edge path from u to v
-// (exclusive of endpoints, which callers set) into wm. It panics when no
-// path exists: callers only ask for paths whose existence the closure bits
-// established.
-func (d *SubsetDetector) markPath(u, v int, members []uint64, wm bitset) {
-	if u == v {
-		return
-	}
-	mem := bitset(members)
-	prev := make([]int32, d.n)
-	for i := range prev {
-		prev[i] = -1
-	}
-	queue := make([]int32, 0, d.n)
-	queue = append(queue, int32(u))
-	prev[u] = int32(u)
-	for len(queue) > 0 {
-		cur := int(queue[0])
-		queue = queue[1:]
-		for _, ei := range d.out[cur] {
-			next := int(d.to[ei])
-			if !mem.has(next) || prev[next] >= 0 {
-				continue
-			}
-			prev[next] = int32(cur)
-			if next == v {
-				for at := int(prev[v]); at != u; at = int(prev[at]) {
-					wm.set(at)
-				}
-				return
-			}
-			queue = append(queue, int32(next))
-		}
-	}
-	panic("summary: no witness path despite established reachability")
-}
-
-// detect runs the induced-subgraph cycle search and returns the verdict
-// plus, when non-robust, the universe edge indices of the distinguished
-// witness edges: (e1, e2, e3) for type II, (-1, -1, cf) for type I.
-func (d *SubsetDetector) detect(method Method, members []uint64, s *DetectScratch) (robust bool, e1, e2, e3 int) {
-	mem := bitset(members)
-	// Reflexive-transitive closures of the induced subgraph. Rows of
-	// non-member nodes stay zero, so closure bits double as membership
-	// checks for the edge scans below.
-	clear(s.backing)
-	for i := 0; i < d.n; i++ {
-		if mem.has(i) {
-			s.reach[i].set(i)
-			s.coreach[i].set(i)
-		}
-	}
-	for ei := range d.from {
-		fi, ti := int(d.from[ei]), int(d.to[ei])
-		if mem.has(fi) && mem.has(ti) {
-			s.reach[fi].set(ti)
-			s.coreach[ti].set(fi)
-		}
-	}
-	fixpoint(s.reach)
-	fixpoint(s.coreach)
-
-	if method == TypeI {
-		// A counterflow edge closing back (Graph.HasTypeICycle).
-		for _, ei := range d.cf {
-			fi, ti := int(d.from[ei]), int(d.to[ei])
-			if mem.has(fi) && mem.has(ti) && s.reach[ti].has(fi) {
-				return false, -1, -1, int(ei)
-			}
-		}
-		return true, -1, -1, -1
-	}
-
-	// Pair-centric type-II search over the induced subgraph. This mirrors
-	// Graph.findE1/typeIIPairAt (detect.go) on the detector's parallel
-	// arrays and member-filtered closures instead of a materialized graph;
-	// the cache encoding is shared (0 unknown, 1 no witness, ei+2 the
-	// witness edge index for the pair k = s*n + t) — changes to the scan
-	// or the encoding must land in both.
-	clear(s.cache)
-	findE1 := func(si, ti int) int {
-		k := si*d.n + ti
-		if v := s.cache[k]; v != 0 {
-			return int(v) - 2
-		}
-		for ei := range d.edges {
-			if d.edges[ei].Class != NonCounterflow {
-				continue
-			}
-			// Membership of p1/p2 is implied by the closure bits.
-			p1, p2 := int(d.from[ei]), int(d.to[ei])
-			if s.coreach[si].has(p2) && s.reach[ti].has(p1) {
-				s.cache[k] = int32(ei + 2)
-				return ei
-			}
-		}
-		s.cache[k] = 1
-		return -1
-	}
-	for _, e3i := range d.cf {
-		m, t := int(d.from[e3i]), int(d.to[e3i])
-		if !mem.has(m) || !mem.has(t) {
-			continue
-		}
-		e3edge := d.edges[e3i]
-		for _, e2i := range d.in[m] {
-			if !mem.has(int(d.from[e2i])) {
-				continue
-			}
-			e2edge := d.edges[e2i]
-			if !pairCondition(e2edge, e3edge) {
-				continue
-			}
-			if e1i := findE1(int(d.from[e2i]), t); e1i >= 0 {
-				return false, e1i, int(e2i), int(e3i)
-			}
-		}
-	}
-	return true, -1, -1, -1
-}
-
-// fixpoint iterates bitset unions to the transitive closure: row i absorbs
-// row j for every bit j set in row i, until nothing changes.
-func fixpoint(rows []bitset) {
-	for changed := true; changed; {
-		changed = false
-		for i, cl := range rows {
-			for wi, w := range cl {
-				for w != 0 {
-					j := wi*64 + bits.TrailingZeros64(w)
-					w &= w - 1
-					if j != i && cl.orInto(rows[j]) {
-						changed = true
-					}
-				}
-			}
-		}
-	}
 }

@@ -2,10 +2,14 @@ package summary
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/benchmarks"
 	"repro/internal/btp"
+	"repro/internal/relschema"
+	"repro/internal/workload"
 )
 
 // TestBlockSetCaches checks that Ensure fills every ordered pair and that
@@ -40,40 +44,36 @@ func TestBlockSetCaches(t *testing.T) {
 	}
 }
 
-// TestSubsetDetectorMatchesBuild cross-checks the allocation-free induced-
-// subgraph detector against Build+Robust on every LTP subset of the
-// Auction and SmallBank universes, all settings, both methods.
+// TestSubsetDetectorMatchesBuild runs checkSubsetDetect on every LTP
+// subset of the Auction and SmallBank universes and of random workloads,
+// in all settings.
 func TestSubsetDetectorMatchesBuild(t *testing.T) {
+	type universe struct {
+		name   string
+		schema *relschema.Schema
+		ltps   []*btp.LTP
+	}
+	var universes []universe
 	for _, bench := range []*benchmarks.Benchmark{benchmarks.Auction(), benchmarks.SmallBank()} {
-		ltps := btp.UnfoldAll2(bench.Programs)
-		if len(ltps) > 10 {
-			t.Fatalf("%s universe too large for exhaustive subset check", bench.Name)
+		universes = append(universes, universe{bench.Name, bench.Schema, btp.UnfoldAll2(bench.Programs)})
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		w := workload.RandomBTPs(rand.New(rand.NewSource(seed)), workload.RandomOptions{})
+		ltps := btp.UnfoldAll2(w.Programs)
+		if len(ltps) > 8 {
+			ltps = ltps[:8] // keep the 2^n sweep cheap
+		}
+		universes = append(universes, universe{fmt.Sprintf("random seed %d", seed), w.Schema, ltps})
+	}
+	for _, u := range universes {
+		if len(u.ltps) > 10 {
+			t.Fatalf("%s universe too large for exhaustive subset check", u.name)
 		}
 		for _, setting := range AllSettings {
-			bs := NewBlockSet(bench.Schema, setting)
-			det := NewSubsetDetector(bs, ltps)
-			if det.NumNodes() != len(ltps) {
-				t.Fatalf("NumNodes = %d, want %d", det.NumNodes(), len(ltps))
-			}
-			scratch := det.NewScratch()
-			members := make([]uint64, (len(ltps)+63)/64)
-			for mask := 0; mask < 1<<len(ltps); mask++ {
-				var subset []*btp.LTP
-				for i := range ltps {
-					if mask&(1<<i) != 0 {
-						subset = append(subset, ltps[i])
-					}
-				}
-				members[0] = uint64(mask)
-				g := Build(bench.Schema, subset, setting)
-				for _, method := range []Method{TypeI, TypeII} {
-					want, _ := g.Robust(method)
-					got := det.Robust(method, members, scratch)
-					if got != want {
-						t.Fatalf("%s under %s, %s, mask %b: detector=%t, build=%t",
-							bench.Name, setting, method, mask, got, want)
-					}
-				}
+			g := Compose(NewBlockSet(u.schema, setting), u.ltps)
+			scratch := g.NewScratch()
+			for mask := uint64(0); mask < 1<<len(u.ltps); mask++ {
+				checkSubsetDetect(t, u.name, u.schema, g, scratch, mask)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/btp"
 	"repro/internal/relschema"
@@ -111,16 +112,11 @@ type Graph struct {
 	// endpoints, recorded at construction so that indexing and cycle
 	// detection avoid per-edge map lookups.
 	edgeFrom, edgeTo []int32
-	// out[i] lists indices into Edges of edges leaving node i.
-	out [][]int
-	// in[i] lists indices into Edges of edges entering node i.
-	in [][]int
-	// reach[i] is the forward reachability bitset of node i over all
-	// edges, including i itself (reflexive-transitive closure).
-	reach []bitset
-	// coreach[i] is the backward closure: nodes from which i is reachable,
-	// including i itself.
-	coreach []bitset
+	// out[i] / in[i] list the indices into Edges of the edges leaving /
+	// entering node i, in edge order.
+	out, in [][]int32
+	// cf lists the indices of the counterflow edges, in edge order.
+	cf []int32
 }
 
 // bitset is a simple fixed-size bitset over node indices.
@@ -179,23 +175,27 @@ func (g *Graph) InEdges(l *btp.LTP) []Edge {
 
 // Reachable reports whether to is reachable from from following summary
 // edges; every node is reachable from itself (possibly via the empty path).
+// It runs the witness path search, not the closure routine of detect, so
+// tests can use it as an independent reference.
 func (g *Graph) Reachable(from, to *btp.LTP) bool {
 	fi, ti := g.NodeIndex(from), g.NodeIndex(to)
 	if fi < 0 || ti < 0 {
 		return false
 	}
-	return g.reach[fi].has(ti)
+	_, ok := g.path(nil, fi, ti, g.allMembers(), g.NewScratch())
+	return ok
 }
 
 // CounterflowEdges returns the number of counterflow edges.
-func (g *Graph) CounterflowEdges() int {
-	n := 0
-	for _, e := range g.Edges {
-		if e.Class == Counterflow {
-			n++
-		}
-	}
-	return n
+func (g *Graph) CounterflowEdges() int { return len(g.cf) }
+
+// SizeBytes estimates the graph's resident memory beyond its edges: the
+// endpoint arrays, the adjacency lists and the counterflow list. The
+// edges of a composed graph copy blocks that BlockSet.SizeBytes already
+// counts, so like that estimate this one is biased low. The session adds
+// it for every universe graph it memoizes.
+func (g *Graph) SizeBytes() int64 {
+	return int64(unsafe.Sizeof(*g)) + int64(len(g.Edges))*(4*4) + int64(len(g.cf))*4
 }
 
 // Stats summarizes the graph for reporting (the quantities of Table 2).
@@ -371,57 +371,40 @@ func Build(schema *relschema.Schema, ltps []*btp.LTP, setting Setting) *Graph {
 	return g
 }
 
-// index fills adjacency lists and reachability closures. It is called once
-// per graph — including once per composed subset graph during subset
-// enumeration — so it allocates flat backing arrays instead of growing
-// per-node slices.
+// index fills the adjacency lists and the counterflow list. It is called
+// once per graph — including once per composed subset graph of a streaming
+// enumeration — so it carves every list from one backing array. The
+// reachability closures are not part of the index: detect computes them
+// per query, over the nodes the query selects.
 func (g *Graph) index() {
 	n := len(g.Nodes)
 	m := len(g.Edges)
-	// Degree-counted adjacency: one backing array per direction.
-	outDeg := make([]int, n)
-	inDeg := make([]int, n)
+	// Degree-counted adjacency: out-lists, in-lists and the counterflow
+	// list share one backing array.
+	deg := make([]int, 2*n)
+	ncf := 0
 	for ei := range g.Edges {
-		outDeg[g.edgeFrom[ei]]++
-		inDeg[g.edgeTo[ei]]++
+		deg[g.edgeFrom[ei]]++
+		deg[n+int(g.edgeTo[ei])]++
+		if g.Edges[ei].Class == Counterflow {
+			ncf++
+		}
 	}
-	g.out = make([][]int, n)
-	g.in = make([][]int, n)
-	outBacking := make([]int, m)
-	inBacking := make([]int, m)
-	oo, io := 0, 0
-	for i := 0; i < n; i++ {
-		g.out[i] = outBacking[oo : oo : oo+outDeg[i]]
-		oo += outDeg[i]
-		g.in[i] = inBacking[io : io : io+inDeg[i]]
-		io += inDeg[i]
+	lists := make([][]int32, 2*n)
+	g.out, g.in = lists[:n:n], lists[n:]
+	backing := make([]int32, 2*m+ncf)
+	off := 0
+	for i, d := range deg {
+		lists[i] = backing[off : off : off+d]
+		off += d
 	}
+	g.cf = backing[off:off:len(backing)]
 	for ei := range g.Edges {
-		fi := g.edgeFrom[ei]
-		ti := g.edgeTo[ei]
-		g.out[fi] = append(g.out[fi], ei)
-		g.in[ti] = append(g.in[ti], ei)
+		fi, ti := g.edgeFrom[ei], g.edgeTo[ei]
+		g.out[fi] = append(g.out[fi], int32(ei))
+		g.in[ti] = append(g.in[ti], int32(ei))
+		if g.Edges[ei].Class == Counterflow {
+			g.cf = append(g.cf, int32(ei))
+		}
 	}
-	// Reflexive-transitive closure over node-level adjacency.
-	g.reach = closures(g.edgeFrom, g.edgeTo, n)
-	g.coreach = closures(g.edgeTo, g.edgeFrom, n)
-}
-
-// closures computes, for each node, the reflexive-transitive closure of the
-// edge relation given by parallel endpoint arrays (swap the arguments for
-// the backward closure) by iterating bitset unions to a fixpoint. All
-// bitsets are carved from one backing array.
-func closures(from, to []int32, n int) []bitset {
-	words := (n + 63) / 64
-	backing := make([]uint64, n*words)
-	out := make([]bitset, n)
-	for i := 0; i < n; i++ {
-		out[i] = bitset(backing[i*words : (i+1)*words])
-		out[i].set(i)
-	}
-	for ei := range from {
-		out[from[ei]].set(int(to[ei]))
-	}
-	fixpoint(out)
-	return out
 }

@@ -209,19 +209,23 @@ func randomLTPs(rng *rand.Rand, s *relschema.Schema) []*btp.LTP {
 	return ltps
 }
 
-// TestLiteralAlgorithmEquivalence cross-checks the optimized pair-centric
-// type-II search against the literal transcription of Algorithm 2 on many
-// random program sets.
+// TestLiteralAlgorithmEquivalence cross-checks the pair-centric cycle
+// search behind Robust against the literal oracles (literalRobust: the
+// transcription of Algorithm 2 for type II, the definition for type I) on
+// many random program sets, in all four settings.
 func TestLiteralAlgorithmEquivalence(t *testing.T) {
 	s := testSchema()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 400; i++ {
 		ltps := randomLTPs(rng, s)
-		g := Build(s, ltps, SettingAttrDepFK)
-		fast, _ := g.HasTypeIICycle()
-		slow, _ := g.HasTypeIICycleLiteral()
-		if fast != slow {
-			t.Fatalf("iteration %d: optimized=%t literal=%t on graph:\n%s", i, fast, slow, g)
+		for _, setting := range AllSettings {
+			g := Build(s, ltps, setting)
+			for _, m := range []Method{TypeII, TypeI} {
+				got, _ := g.Robust(m)
+				if want := literalRobust(g, m); got != want {
+					t.Fatalf("iteration %d, %s, %s: Robust=%t literal=%t on graph:\n%s", i, setting, m, got, want, g)
+				}
+			}
 		}
 	}
 }
@@ -234,9 +238,9 @@ func TestTypeIImpliesTypeIIAbsence(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		ltps := randomLTPs(rng, s)
 		g := Build(s, ltps, SettingAttrDepFK)
-		typeI, _ := g.HasTypeICycle()
-		typeII, _ := g.HasTypeIICycle()
-		if typeII && !typeI {
+		robustI, _ := g.Robust(TypeI)
+		robustII, _ := g.Robust(TypeII)
+		if robustI && !robustII {
 			t.Fatalf("iteration %d: type-II cycle without type-I cycle:\n%s", i, g)
 		}
 	}

@@ -14,9 +14,11 @@
 //     ordered LTP pair and analysis setting — edges between two programs
 //     never depend on which other programs are present, so any subset graph
 //     is a concatenation of cached pair blocks (Compose).
-//   - SubsetDetector (compose.go) answers per-subset robustness verdicts on
-//     the composed universe graph filtered by a node bitmask,
-//     allocation-free, for the exponential enumeration of Figures 6 and 7.
+//   - The cycle search of Algorithm 2 (detect.go) is one routine over the
+//     subgraph induced by a node bitmask: Graph.Robust runs it over every
+//     node, and Graph.RobustWitness over the subsets of a composed universe
+//     graph — no per-subset graph, no allocation for a robust verdict — for
+//     the exponential enumeration of Figures 6 and 7.
 //
 // Every construction and detection here runs on the calling goroutine; the
 // only worker pool of the analysis is the lattice walk's, one layer up.

@@ -226,8 +226,8 @@ type CheckRequest struct {
 	Setting string `json:"setting,omitempty"`
 	// Method is a ParseMethod name; empty means "type2".
 	Method string `json:"method,omitempty"`
-	// UnfoldBound overrides the loop-unfolding bound; 0 means 2. Config
-	// refuses bounds above btp.MaxUnfoldBound.
+	// UnfoldBound overrides the loop-unfolding bound; 0 or negative means
+	// 2. Config refuses bounds above btp.MaxUnfoldBound.
 	UnfoldBound int `json:"unfold_bound,omitempty"`
 	// Programs restricts the check to the named programs (full names or
 	// abbreviations); empty means all registered programs.
@@ -244,7 +244,9 @@ type CheckRequest struct {
 
 // Config resolves the request into an engine configuration. An unfold
 // bound above btp.MaxUnfoldBound is a *CodedError "unfold_bound_too_large":
-// the request, not the operator, would pick an exponential cost.
+// the request, not the operator, would pick an exponential cost. A
+// negative bound resolves to 0, the documented spelling of the default, so
+// every spelling of one request shares one result-cache key.
 func (r *CheckRequest) Config() (analysis.Config, error) {
 	if r.UnfoldBound > btp.MaxUnfoldBound {
 		return analysis.Config{}, &CodedError{
@@ -262,7 +264,7 @@ func (r *CheckRequest) Config() (analysis.Config, error) {
 	}
 	return analysis.Config{
 		Setting: setting, Method: method,
-		UnfoldBound: r.UnfoldBound, Parallelism: r.Parallelism,
+		UnfoldBound: max(r.UnfoldBound, 0), Parallelism: r.Parallelism,
 	}, nil
 }
 

@@ -28,11 +28,13 @@
 // summary-graph edge blocks of Algorithm 1 per analysis setting, and
 // assembles each requested graph from those blocks (summary.Compose)
 // instead of re-running the quadratic edge derivation. Subset enumeration
-// (RobustSubsets, the analysis behind Figures 6 and 7) composes all 2^n − 1
-// subset graphs from the same cache and fans them out over a bounded worker
-// pool — the Parallelism knob of Options, defaulting to GOMAXPROCS. The
-// knob bounds subset enumeration only: a single check runs on the calling
-// goroutine. See docs/ARCHITECTURE.md for how the knob flows through the
+// (RobustSubsets, the analysis behind Figures 6 and 7) walks the subset
+// lattice by size: known minimal non-robust cores and robust covers decide
+// most subsets by containment, and the rest run the cycle search on the
+// selection's universe graph, composed once from the same cache, over a
+// bounded worker pool — the Parallelism knob of Options, defaulting to
+// GOMAXPROCS. The knob bounds subset enumeration only: a single check runs
+// on the calling goroutine. See docs/ARCHITECTURE.md for how the knob flows through the
 // layers.
 //
 // One-shot calls (Check, CheckWith, RobustSubsets) create a throwaway
@@ -65,8 +67,8 @@
 // restart preserves wire behavior byte for byte, without re-running
 // Algorithm 1 for cached enumerations — and ServerOptions.MaxBytes replaces
 // blind LRU with size-weighted eviction over per-workload memory estimates
-// (Session.SizeBytes). docs/ARCHITECTURE.md's "Persistence & result cache"
-// section draws the three-cache picture.
+// (Session.SizeBytes). docs/ARCHITECTURE.md's "Subset lattice & minimal
+// cores" section draws the four caches.
 //
 // See examples/ for complete programs and internal/experiments for the
 // reproduction of the paper's evaluation.
