@@ -1,6 +1,7 @@
 package mvrc
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -50,20 +51,42 @@ func TestDocLinks(t *testing.T) {
 
 // TestDocsMentionCode spot-checks that the architecture doc stays anchored
 // to real identifiers: every code symbol it names as load-bearing must
-// still exist in the tree (cheap drift detection alongside the link gate).
+// appear in the doc and still exist in the tree — as a whole word in some
+// Go file outside bench/, a flag without its leading "-" and a pkg.Name or
+// Type.Method pin by its last component (cheap drift detection alongside
+// the link gate).
 func TestDocsMentionCode(t *testing.T) {
 	raw, err := os.ReadFile("docs/ARCHITECTURE.md")
 	if err != nil {
 		t.Fatalf("docs/ARCHITECTURE.md must exist (it is linked from README): %v", err)
 	}
 	doc := string(raw)
+	var code strings.Builder
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go") && path != "docs_test.go":
+			src, err := os.ReadFile(path)
+			code.Write(src)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := code.String()
 	for _, want := range []string{
 		"BlockSet", "Compose", "RobustWitness", "EnsureCtx",
 		"RobustSubsets", "Parallelism",
 		"NaiveRobustSubsets", "last_parallelism",
 		"internal/snapshot", "SizeBytes", "result_cache",
 		"-state-dir", "-max-bytes", "evictions_bytes",
-		"CoreSet", "CoverSet", "subsets_pruned",
+		"seedWalk", "mergeWalk", "subsets_pruned",
+		"TestLatticeFactDigest", "TestStatsMetricsParity",
 		"MaxSubsetPrograms", "too_many_programs", "TestWalkRandomWorkloads",
 		"MaxUnfoldBound", "unfold_bound_too_large", "body_too_large",
 		"-flush-interval", "Server.Flush",
@@ -95,5 +118,31 @@ func TestDocsMentionCode(t *testing.T) {
 		if !strings.Contains(doc, want) {
 			t.Errorf("ARCHITECTURE.md no longer mentions %q — update the doc with the code", want)
 		}
+		name := strings.TrimPrefix(want, "-")
+		if i := strings.LastIndexByte(name, '.'); i >= 0 {
+			name = name[i+1:]
+		}
+		if !containsWord(src, name) {
+			t.Errorf("ARCHITECTURE.md pins %q, but no Go file outside bench/ contains %q — update the doc with the code", want, name)
+		}
+	}
+}
+
+// containsWord reports whether s contains w with no identifier character
+// on either side, so a pin cannot hide inside a longer identifier.
+func containsWord(s, w string) bool {
+	ident := func(c byte) bool {
+		return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+	}
+	for i := 0; ; {
+		j := strings.Index(s[i:], w)
+		if j < 0 {
+			return false
+		}
+		j += i
+		if end := j + len(w); (j == 0 || !ident(s[j-1])) && (end == len(s) || !ident(s[end])) {
+			return true
+		}
+		i = j + 1
 	}
 }

@@ -7,89 +7,50 @@ import (
 	"repro/internal/btp"
 )
 
-// factStoreLen sums the fact-log lengths (cores + covers) for the config's
-// core key; factStoreSince counts only the facts stamped after gen (what a
-// delta feed synced at gen should consume — cover-antichain evictions make
-// this differ from the net length change).
-func factStoreLen(s *Session, cfg Config) int {
-	return factStoreSince(s, cfg, 0)
-}
-
-func factStoreSince(s *Session, cfg Config, gen uint64) int {
-	ck := coreKey{setting: cfg.Setting, method: cfg.Method, bound: cfg.bound()}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	coreFacts, _ := s.cores[ck].factsSince(gen)
-	coverFacts, _ := s.covers[ck].factsSince(gen)
-	return len(coreFacts) + len(coverFacts)
-}
-
-// factStoreGen reads the store generation for the config's core key.
-func factStoreGen(s *Session, cfg Config) uint64 {
-	ck := coreKey{setting: cfg.Setting, method: cfg.Method, bound: cfg.bound()}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.coreGen[ck]
-}
-
-// TestLatticeDeltaFeed: re-syncing a cached lattice entry after a foreign
-// merge advanced the fact store must consume only the merge's delta — the
-// factsSeeded counter moves by at most the number of newly appended facts,
-// never by a full store re-scan. A warm repeat with no generation movement
-// seeds nothing at all.
-func TestLatticeDeltaFeed(t *testing.T) {
-	bench := benchmarks.SmallBank()
-	sess := NewSession(bench.Schema)
-	cfg := DefaultConfig()
-
-	// First enumeration of a sub-selection: discovers and merges its facts.
-	sub := bench.Programs[:3]
-	if _, err := sess.RobustSubsets(sub, cfg); err != nil {
-		t.Fatal(err)
+// TestWalkAntichain pins the walk's antichain in both directions: a core
+// set refuses a mask an entry already decides, drops the entries a new
+// mask decides, and takes a certified bit only on an equal mask; a cover
+// set mirrors the containment.
+func TestWalkAntichain(t *testing.T) {
+	cores := antichain{}
+	if cores.decides(0b111) {
+		t.Fatal("empty core set decides a mask")
 	}
-	afterSub := sess.factsSeeded.Load()
-	storeAfterSub := factStoreLen(sess, cfg)
-	if storeAfterSub == 0 {
-		t.Fatal("sub-selection enumeration merged no facts — fixture broken")
+	if !cores.add(0b011, false) {
+		t.Fatal("first add refused")
+	}
+	// A superset of a stored core is refused (already decided by it).
+	if cores.add(0b111, true) {
+		t.Error("superset of a stored core admitted")
+	}
+	if cores.certifiedLen() != 0 {
+		t.Error("a certified superset set the bit of the smaller core")
+	}
+	// A subset supersedes: the dominated core is dropped.
+	if !cores.add(0b010, false) || len(cores.facts) != 1 {
+		t.Fatalf("strict subset not admitted in place of its superset: %+v", cores.facts)
+	}
+	if !cores.decides(0b100010) || !cores.decides(0b010) || cores.decides(0b100001) {
+		t.Error("core containment wrong")
+	}
+	// An equal certified add upgrades the bit without inserting.
+	if cores.add(0b010, true) || cores.certifiedLen() != 1 {
+		t.Errorf("equal certified add: %+v", cores.facts)
+	}
+	// An incomparable core coexists.
+	if !cores.add(0b11000, false) || len(cores.facts) != 2 {
+		t.Errorf("incomparable core not admitted: %+v", cores.facts)
 	}
 
-	// Warm repeat, generation unchanged: the cached entry is returned
-	// without touching the logs.
-	if _, err := sess.RobustSubsets(sub, cfg); err != nil {
-		t.Fatal(err)
+	covers := antichain{up: true}
+	if !covers.add(0b011, false) || covers.add(0b001, false) {
+		t.Error("cover set admitted a subset of a stored cover")
 	}
-	if got := sess.factsSeeded.Load(); got != afterSub {
-		t.Errorf("warm repeat re-seeded facts: %d -> %d", afterSub, got)
+	if !covers.add(0b111, false) || len(covers.facts) != 1 {
+		t.Errorf("larger cover did not replace the one it contains: %+v", covers.facts)
 	}
-	subGen := factStoreGen(sess, cfg)
-
-	// The full selection creates a second entry (seeding the current store
-	// into it) and discovers facts the sub-selection could not — cores and
-	// covers involving the remaining programs — whose merge advances the
-	// shared generation.
-	if _, err := sess.RobustSubsets(bench.Programs, cfg); err != nil {
-		t.Fatal(err)
-	}
-	delta := factStoreSince(sess, cfg, subGen)
-	total := factStoreLen(sess, cfg)
-	if delta == 0 {
-		t.Fatal("full enumeration merged nothing — fixture broken")
-	}
-	if delta >= total {
-		t.Fatalf("every fact postdates the sub sync (%d of %d) — the scenario cannot distinguish delta from re-scan", delta, total)
-	}
-
-	// Re-running the sub-selection now finds its entry stale. The re-sync
-	// must feed exactly the facts stamped after its synced generation, not
-	// re-scan the whole store.
-	before := sess.factsSeeded.Load()
-	if _, err := sess.RobustSubsets(sub, cfg); err != nil {
-		t.Fatal(err)
-	}
-	seeded := int(sess.factsSeeded.Load() - before)
-	if seeded > delta {
-		t.Errorf("stale entry re-sync consumed %d facts; the foreign delta is %d (store holds %d) — the delta feed regressed to a full re-scan",
-			seeded, delta, total)
+	if !covers.decides(0b101) || covers.decides(0b1001) {
+		t.Error("cover containment wrong")
 	}
 }
 
@@ -109,8 +70,8 @@ func TestSelectionCachesBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// All 120 permutations of the 5 programs, plus prefixes: > 256 keys in
-	// total across universes and lattices if nothing bounded them.
+	// All 120 permutations of the 5 programs, plus prefixes: > 256 keys if
+	// nothing bounded the universe memo.
 	var permute func(ps []*btp.Program, k int)
 	count := 0
 	permute = func(ps []*btp.Program, k int) {
@@ -136,11 +97,10 @@ func TestSelectionCachesBounded(t *testing.T) {
 	}
 
 	sess.mu.Lock()
-	universes, lattices := len(sess.universes), len(sess.lattices)
+	universes := len(sess.universes)
 	sess.mu.Unlock()
-	if universes > selectionCacheMax || lattices > selectionCacheMax {
-		t.Errorf("selection caches unbounded: %d universe graphs, %d lattice entries (cap %d)",
-			universes, lattices, selectionCacheMax)
+	if universes > selectionCacheMax {
+		t.Errorf("universe memo unbounded: %d graphs (cap %d)", universes, selectionCacheMax)
 	}
 
 	// Verdicts are unaffected by the clears.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/benchmarks"
 	"repro/internal/btp"
 	"repro/internal/robust"
+	"repro/internal/snapshot"
 	"repro/internal/summary"
 )
 
@@ -295,5 +296,72 @@ func TestImportCoresSeedsPruning(t *testing.T) {
 	if got.Checked != len(rep.Robust) || got.Pruned != total-len(rep.Robust) {
 		t.Errorf("seeded session checked %d / pruned %d, want %d / %d",
 			got.Checked, got.Pruned, len(rep.Robust), total-len(rep.Robust))
+	}
+}
+
+// TestExportCoresOrderIgnoresAllocation: exported facts are ordered by
+// their content, never by where the programs were allocated — the same
+// workload rebuilt through its snapshot form in reverse order (what a boot
+// restore or a PATCH does to program pointers) exports its cores, and so
+// writes its snapshot's core groups, in the same order.
+func TestExportCoresOrderIgnoresAllocation(t *testing.T) {
+	bench := benchmarks.SmallBank()
+	rebuilt := make([]*btp.Program, len(bench.Programs))
+	for i := len(bench.Programs) - 1; i >= 0; i-- {
+		sp, err := snapshot.FromProgram(bench.Programs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt[i], err = sp.Build(bench.Schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := [][]string{{"Am", "Bal"}, {"Bal", "DC", "TS"}, {"WC"}}
+	for _, tc := range []struct {
+		name     string
+		programs []*btp.Program
+	}{{"constructed", bench.Programs}, {"rebuilt in reverse", rebuilt}} {
+		sess := analysis.NewSession(bench.Schema)
+		if _, err := sess.RobustSubsets(tc.programs, analysis.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		var got [][]string
+		for _, f := range sess.ExportCores() {
+			got = append(got, coreNames(f.Programs))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s programs export cores %v, want %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestSubSelectionWarmAfterFullSet: the store keeps every cover a walk
+// learned, not only the largest ones, so a sub-selection walked again
+// after a walk of the full set (whose covers contain the sub-selection's
+// own) is still decided entirely by containment — zero detector runs.
+func TestSubSelectionWarmAfterFullSet(t *testing.T) {
+	bench := benchmarks.SmallBank()
+	sess := analysis.NewSession(bench.Schema)
+	cfg := analysis.DefaultConfig()
+	sub := bench.Programs[:3]
+	first, err := sess.RobustSubsets(sub, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Checked == 0 {
+		t.Fatal("cold sub-selection ran no detector — fixture broken")
+	}
+	if _, err := sess.RobustSubsets(bench.Programs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	again, err := sess.RobustSubsets(sub, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != first.String() {
+		t.Errorf("warm sub-selection diverges: %s vs %s", again, first)
+	}
+	if total := 1<<len(sub) - 1; again.Checked != 0 || again.Pruned != total {
+		t.Errorf("sub-selection after the full set checked %d / pruned %d, want 0 / %d", again.Checked, again.Pruned, total)
 	}
 }

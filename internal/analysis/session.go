@@ -3,12 +3,14 @@
 // exponential subset enumeration of Figures 6 and 7 would otherwise redo
 // per subset — program validation, loop unfolding (each program is unfolded
 // exactly once per bound) and the pairwise summary-graph edge blocks of
-// Algorithm 1 (computed once per analysis setting). One lattice walk
-// (walk.go) then enumerates the subsets: minimal non-robust cores and
-// robust covers decide most of them by containment, and the rest run only
-// the cycle detection — on the selection's memoized universe graph, or on
-// a subset graph summary.Compose assembles from cached blocks — fanned out
-// over a bounded worker pool.
+// Algorithm 1 (computed once per analysis setting) — plus the facts every
+// enumeration learns: minimal non-robust cores and robust covers, kept as
+// program sets (lattice.go). One lattice walk (walk.go) then enumerates
+// the subsets: the cores and covers inside its selection decide most of
+// them by containment, and the rest run only the cycle detection — on the
+// selection's memoized universe graph, or on a subset graph
+// summary.Compose assembles from cached blocks — fanned out over a bounded
+// worker pool.
 //
 // The naive path (re-unfold and re-run Algorithm 1 from scratch for every
 // subset) is retained in internal/robust as the oracle for equivalence
@@ -19,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,21 +122,15 @@ type Session struct {
 	unfolded  map[unfoldKey][]*btp.LTP
 	blocks    map[summary.Setting]*summary.BlockSet
 	// cores holds the minimal non-robust cores discovered by lattice
-	// enumerations, per (setting, method, bound): program sets that are
-	// jointly non-robust and minimally so. covers is the robust-side dual
-	// (maximal program sets known robust). Both are kept as generation-
-	// stamped logs (factLog), seeded into every enumeration covering them
-	// as a delta feed and merged back after; see lattice.go.
-	cores  map[coreKey]*factLog
-	covers map[coreKey]*factLog
-	// coreGen versions the fact store per key; cached lattice entries
-	// re-seed when it moves.
-	coreGen map[coreKey]uint64
-	// lattices caches the seeded per-selection pruning state (core +
-	// cover sets); universes memoizes the composed universe graph per
-	// exact program selection, so repeated enumerations skip even the warm
-	// compose scan.
-	lattices  map[latticeKey]*latticeEntry
+	// walks, per (setting, method, bound): program sets that are jointly
+	// non-robust and minimally so. covers is the robust-side dual (program
+	// sets known robust). Each walk seeds its own antichains from the
+	// facts inside its selection and appends what it learned; see
+	// lattice.go.
+	cores  map[coreKey][]fact
+	covers map[coreKey][]fact
+	// universes memoizes the composed universe graph per exact program
+	// selection, so repeated enumerations skip even the warm compose scan.
 	universes map[universeKey]*universeEntry
 	// retired marks programs passed to Invalidate: checks that were
 	// already in flight may still resolve them, but the results are no
@@ -151,10 +148,6 @@ type Session struct {
 	// schedHits were non-robust — the fraction is the scheduler's hit rate
 	// (how often "looks conflict-dense" predicted "mints a core").
 	schedChecked, schedHits atomic.Uint64
-	// factsSeeded counts facts fed into lattice entries by latticeFor —
-	// the delta-feed regression guard: re-syncing an entry after a foreign
-	// merge must consume the merge's delta, not re-scan the whole store.
-	factsSeeded atomic.Uint64
 }
 
 // NewSession creates an empty session over the schema.
@@ -164,10 +157,8 @@ func NewSession(schema *relschema.Schema) *Session {
 		validated: make(map[*btp.Program]error),
 		unfolded:  make(map[unfoldKey][]*btp.LTP),
 		blocks:    make(map[summary.Setting]*summary.BlockSet),
-		cores:     make(map[coreKey]*factLog),
-		covers:    make(map[coreKey]*factLog),
-		coreGen:   make(map[coreKey]uint64),
-		lattices:  make(map[latticeKey]*latticeEntry),
+		cores:     make(map[coreKey][]fact),
+		covers:    make(map[coreKey][]fact),
 		universes: make(map[universeKey]*universeEntry),
 		retired:   make(map[*btp.Program]bool),
 	}
@@ -295,47 +286,18 @@ func (s *Session) Invalidate(p *btp.Program) int {
 			delete(s.unfolded, k)
 		}
 	}
-	// Drop the memoized universe graphs, cached lattice entries and the
-	// core/cover facts touching the program; facts over untouched programs
-	// stay — they describe content that did not change, which is what lets
-	// a PATCHed workload re-derive only the facts involving the new
-	// program.
-	touches := func(ps []*btp.Program) bool {
-		for _, q := range ps {
-			if q == p {
-				return true
-			}
-		}
-		return false
-	}
+	// Drop the memoized universe graphs and the core/cover facts touching
+	// the program; facts over untouched programs stay — they describe
+	// content that did not change, which is what lets a PATCHed workload
+	// re-derive only the facts involving the new program.
 	for k, e := range s.universes {
-		if touches(e.programs) {
+		if slices.Contains(e.programs, p) {
 			delete(s.universes, k)
 		}
 	}
-	for k, e := range s.lattices {
-		if touches(e.programs) {
-			delete(s.lattices, k)
-		}
-	}
-	for _, store := range []map[coreKey]*factLog{s.cores, s.covers} {
-		for k, log := range store {
-			keptFacts := make([][]*btp.Program, 0, len(log.facts))
-			keptGens := make([]uint64, 0, len(log.gens))
-			keptCerts := make([]bool, 0, len(log.certs))
-			for i, c := range log.facts {
-				if !touches(c) {
-					keptFacts = append(keptFacts, c)
-					keptGens = append(keptGens, log.gens[i])
-					keptCerts = append(keptCerts, log.certs[i])
-				}
-			}
-			if len(keptFacts) != len(log.facts) {
-				// Fresh log, not an in-place filter: delta-feed readers may
-				// still hold suffix views of the old slices outside the lock.
-				store[k] = &factLog{facts: keptFacts, gens: keptGens, certs: keptCerts}
-				s.coreGen[k]++
-			}
+	for _, store := range []map[coreKey][]fact{s.cores, s.covers} {
+		for k, facts := range store {
+			store[k] = slices.DeleteFunc(facts, func(f fact) bool { return slices.Contains(f.programs, p) })
 		}
 	}
 	sets := make([]*summary.BlockSet, 0, len(s.blocks))
@@ -401,21 +363,19 @@ const (
 // resident bytes — the one cost model shared by Stats (telemetry) and
 // SizeBytes (eviction accounting). Caller holds s.mu.
 func (s *Session) factStoresLocked() (cores, covers, certified int, bytes int64) {
-	for _, log := range s.cores {
-		cores += len(log.facts)
-		for _, cert := range log.certs {
-			if cert {
+	for _, facts := range s.cores {
+		cores += len(facts)
+		for _, f := range facts {
+			if f.certified {
 				certified++
 			}
-		}
-		for _, c := range log.facts {
-			bytes += coreEntryBytes + 8 + int64(len(c))*coreProgramBytes
+			bytes += coreEntryBytes + int64(len(f.programs))*coreProgramBytes
 		}
 	}
-	for _, log := range s.covers {
-		covers += len(log.facts)
-		for _, c := range log.facts {
-			bytes += coreEntryBytes + 8 + int64(len(c))*coreProgramBytes
+	for _, facts := range s.covers {
+		covers += len(facts)
+		for _, f := range facts {
+			bytes += coreEntryBytes + int64(len(f.programs))*coreProgramBytes
 		}
 	}
 	return cores, covers, certified, bytes
@@ -457,7 +417,7 @@ const (
 )
 
 // SizeBytes estimates the session's resident memory: the memoized
-// unfoldings, universe graphs (Graph.SizeBytes) and pruning state plus
+// unfoldings, universe graphs (Graph.SizeBytes) and fact stores plus
 // every per-setting edge-block cache (BlockSet.SizeBytes).
 // It feeds the server's per-workload memory accounting for -max-bytes
 // eviction; like the block-cache estimate it is relative, not exact.
@@ -473,9 +433,6 @@ func (s *Session) SizeBytes() int64 {
 	n += factBytes
 	for _, e := range s.universes {
 		n += e.g.SizeBytes()
-	}
-	for _, e := range s.lattices {
-		n += e.cores.SizeBytes() + e.covers.SizeBytes()
 	}
 	sets := make([]*summary.BlockSet, 0, len(s.blocks))
 	for _, bs := range s.blocks {

@@ -22,23 +22,25 @@ import (
 // verbatim in every superset (adding nodes only adds edges and
 // reachability), so once a subset is known non-robust, every superset is
 // non-robust too. The walk records each non-robust discovery as a
-// *minimal non-robust core* — the witness cycle's node mask, minimized to
-// exact program-level minimality — and decides supersets by an O(#cores)
-// bitset-containment scan (summary.CoreSet) instead of running the
-// detector at all; robust covers (summary.CoverSet) decide subsets of
-// known-robust sets the same way.
+// *minimal non-robust core* — the witness cycle's programs, minimized to
+// exact program-level minimality — and decides supersets by a
+// containment scan over its core masks instead of running the detector
+// at all; robust covers decide subsets of known-robust sets the same way.
+// A selection has at most MaxSubsetPrograms programs, so every subset,
+// core and cover is one uint32 program mask and containment one AND-NOT.
+// Each walk owns its two mask antichains, seeded from the session's facts
+// inside its selection (lattice.go) and merged back when it ends.
 //
 // Processing strictly by subset size makes the pruning complete and
-// deterministic: at the start of level k the shared core set holds exactly
+// deterministic: at the start of level k the walk's core set holds exactly
 // the minimal non-robust program sets of size < k (plus any seeds), so
 // every non-robust mask with a non-robust proper subset is pruned, every
 // mask the detector does see and rejects is itself minimal, and the pruned
 // count is independent of worker count or scheduling. Cores discovered
 // within a level have size k and therefore cannot prune other size-k masks,
-// which is why intra-level publication (lock-free, epoch-snapshotted) and
-// intra-level visit order are harmless for determinism while still letting
-// racing enumerations on a shared session benefit from each other through
-// the session store.
+// so workers collect them in per-worker lists and the walk's goroutine
+// inserts them at the level barrier: workers only read the antichains, and
+// no lock or atomic guards them.
 //
 // The walk takes its detector from the call shape; both run the one cycle
 // search of summary.Graph. A collecting walk (no verdict callback:
@@ -94,8 +96,13 @@ type walker struct {
 	cfg         Config
 	programs    []*btp.Program
 	programMask [][]uint64
-	entry       *latticeEntry
 	n, words    int
+
+	// cores and covers are the walk's own antichains of program masks,
+	// seeded from the session's facts inside the selection; discovered
+	// flips when the walk inserts one of its own.
+	cores, covers antichain
+	discovered    bool
 
 	// decided is the per-mask decision table (d* values); levels holds the
 	// current level's masks in visit order.
@@ -120,29 +127,26 @@ type walker struct {
 	start        time.Time
 	emittedFirst bool
 
-	coreHits, coverHits, misses   atomic.Uint64
-	discovered, freshRobust, bail atomic.Bool // bail: a non-robust verdict landed
+	// bail flips when a non-robust verdict lands, so first_non_robust
+	// workers stop pulling masks.
+	bail atomic.Bool
 
 	sum StreamSummary
 }
 
-// walkWorker is one worker's reusable buffers, kept across levels; the
-// detector scratch, LTP list and witness mask are allocated on the first
-// detector run, so a fully warm walk allocates none of them.
+// walkWorker is one worker's reusable buffers and counters, kept across
+// levels; the detector scratch, membership bitset, LTP list and witness
+// mask are allocated on the first detector run, so a fully warm walk
+// allocates none of them. found holds the cores the worker minted in the
+// current level until the level barrier inserts them.
 type walkWorker struct {
 	members []uint64
 	scratch *summary.DetectScratch
 	ltps    []*btp.LTP
 	wmask   []uint64
-}
+	found   []uint32
 
-// membersBuf returns the worker's membership bitset, allocating it on
-// first use.
-func (ws *walkWorker) membersBuf(words int) []uint64 {
-	if ws.members == nil {
-		ws.members = make([]uint64, words)
-	}
-	return ws.members
+	coreHits, coverHits, misses int
 }
 
 // walkLattice runs one lattice walk over the selection: a collecting walk
@@ -168,7 +172,6 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 		tr.Span(obs.PhaseValidateUnfold, time.Since(t0))
 		t0 = time.Now()
 	}
-	key := progsKey(programs)
 	words := (len(all) + 63) / 64
 	widest := binomial(n, n/2)
 	w := &walker{
@@ -176,6 +179,7 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 		programs: programs,
 		n:        n,
 		words:    words,
+		covers:   antichain{up: true},
 		decided:  make([]uint8, 1<<n),
 		levels:   make([]int32, 0, widest),
 		workers:  make([]walkWorker, max(1, min(cfg.parallelism(), widest))),
@@ -183,7 +187,7 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 		emit:     emit,
 	}
 	if emit == nil {
-		if w.universe, err = s.universeGraph(ctx, cfg, key, programs, all); err != nil {
+		if w.universe, err = s.universeGraph(ctx, cfg, programs, all); err != nil {
 			return nil, err
 		}
 		if tr != nil {
@@ -202,38 +206,43 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 		}
 	}
 	w.programMask = programMasks(groups, words)
-	w.entry = s.latticeFor(cfg, key, programs, w.programMask, words)
+	k := coreKey{setting: cfg.Setting, method: cfg.Method, bound: cfg.bound()}
+	s.seedWalk(k, programs, &w.cores, &w.covers)
+
+	err = w.walk(ctx)
 	// However the walk exits, the work it did reaches the session
 	// telemetry and its discoveries the fact store: cores minted before a
-	// cancel, a callback error or an early termination are valid facts, and
-	// leaving them only in the cached entry would strand them — a retry
-	// would be decided by the entry's unmerged masks, never re-discover
-	// them, and the store (and with it persistence and /v1/stats) would
-	// stay empty. A walk whose every Add was refused as dominated has
-	// nothing the store lacks and skips the merge.
-	defer func() {
-		ch, cvh := w.coreHits.Load(), w.coverHits.Load()
-		s.coreHits.Add(ch)
-		s.coverHits.Add(cvh)
-		s.coreMisses.Add(w.misses.Load())
-		s.subsetsPruned.Add(ch + cvh)
-		s.schedChecked.Add(w.sum.SchedChecked)
-		s.schedHits.Add(w.sum.SchedHits)
-		if w.discovered.Load() {
-			s.mergeLattice(cfg, w.entry, programs, w.programMask)
-		}
-	}()
-
-	if err := w.walk(ctx); err != nil {
-		return nil, err
+	// cancel, a callback error or an early termination are valid facts,
+	// and a retry seeds from them instead of re-discovering them.
+	w.publish()
+	var coreHits, coverHits, misses int
+	for i := range w.workers {
+		ws := &w.workers[i]
+		coreHits, coverHits, misses = coreHits+ws.coreHits, coverHits+ws.coverHits, misses+ws.misses
 	}
-	complete := !w.sum.Terminated || w.sum.Reason == ReasonLevelExhausted
-	if complete {
+	// Only a complete walk folds covers — a terminated walk's skipped masks
+	// are undecided — and only one that ran the detector has robust
+	// verdicts no stored cover already decides (the warm steady state has
+	// none).
+	complete := err == nil && (!w.sum.Terminated || w.sum.Reason == ReasonLevelExhausted)
+	if complete && misses > 0 {
 		w.foldCovers()
 	}
-	w.sum.Checked = int(w.misses.Load())
-	w.sum.Pruned = int(w.coreHits.Load() + w.coverHits.Load())
-	w.sum.Cores = w.entry.cores.Len()
+	s.coreHits.Add(uint64(coreHits))
+	s.coverHits.Add(uint64(coverHits))
+	s.coreMisses.Add(uint64(misses))
+	s.subsetsPruned.Add(uint64(coreHits + coverHits))
+	s.schedChecked.Add(w.sum.SchedChecked)
+	s.schedHits.Add(w.sum.SchedHits)
+	if w.discovered {
+		s.mergeWalk(k, programs, &w.cores, &w.covers)
+	}
+	if err != nil {
+		return nil, err
+	}
+	w.sum.Checked = misses
+	w.sum.Pruned = coreHits + coverHits
+	w.sum.Cores = len(w.cores.facts)
 	if complete {
 		w.sum.Report = w.report()
 		if opts.Mode == StreamTopK {
@@ -298,12 +307,13 @@ func (w *walker) walk(ctx context.Context) error {
 			}
 		}
 		w.recordSched(masks)
-		if tr := w.cfg.Tracer; tr != nil {
-			tr.Span(obs.PhaseLatticeLevel, time.Since(levelStart))
-		}
 		// The level barrier: supersets are only examined once every smaller
 		// mask's verdict (and core) is published. It is the pruning's
 		// determinism and completeness argument, so it must not be elided.
+		w.publish()
+		if tr := w.cfg.Tracer; tr != nil {
+			tr.Span(obs.PhaseLatticeLevel, time.Since(levelStart))
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -366,52 +376,66 @@ func (w *walker) decideParallel(ctx context.Context, masks []int32, lw int) erro
 // detector only when neither knows, witness minimization on a fresh
 // non-robust discovery.
 func (w *walker) process(ctx context.Context, mask int, ws *walkWorker) error {
-	w.fillMembers(ws.membersBuf(w.words), mask)
-	if w.entry.cores.Snapshot().Contains(ws.members) {
-		w.coreHits.Add(1)
+	if w.cores.decides(uint32(mask)) {
+		ws.coreHits++
 		w.decided[mask] = dCore
 		w.bail.Store(true)
 		return nil
 	}
-	if w.entry.covers.Snapshot().Covers(ws.members) {
-		w.coverHits.Add(1)
+	if w.covers.decides(uint32(mask)) {
+		ws.coverHits++
 		w.decided[mask] = dCover
 		return nil
 	}
-	w.misses.Add(1)
+	ws.misses++
 	robust, wmask, err := w.detect(ctx, mask, ws)
 	if err != nil {
 		return err
 	}
 	if robust {
-		w.decided[mask] = dRobust
 		// Robust verdicts are folded into the cover set after the walk:
 		// covers can never fire within the walk that found them (stored
 		// covers are smaller than the masks still to come), and a post-pass
-		// in descending size order pays one antichain insert per maximal
-		// cover instead of a copy-on-write add per robust mask.
-		w.freshRobust.Store(true)
+		// in descending size order inserts only the maximal ones.
+		w.decided[mask] = dRobust
 		return nil
 	}
 	w.decided[mask] = dNonRobust
 	w.bail.Store(true)
-	if w.entry.cores.Add(minimizeCore(w.decided, wmask, w.programMask)) {
-		w.discovered.Store(true)
-	}
+	ws.found = append(ws.found, minimizeCore(w.decided, wmask, w.programMask))
 	return nil
 }
 
-// detect runs the walk's detector on one miss (ws.members holds its node
-// mask) and returns the verdict plus, when non-robust, the witness cycle's
-// node mask. The universe graph answers over the subset's node mask; the
-// streaming source composes the subset's own graph from the BlockSet.
+// publish inserts the cores the workers minted into the walk's core set.
+// It runs on the walk's goroutine at the level barrier (and once more when
+// the walk exits mid-level): a core minted at level k has k programs, so it
+// cannot decide another mask of its own level, and holding it back until
+// the barrier changes no verdict.
+func (w *walker) publish() {
+	for i := range w.workers {
+		ws := &w.workers[i]
+		for _, m := range ws.found {
+			if w.cores.add(m, false) {
+				w.discovered = true
+			}
+		}
+		ws.found = ws.found[:0]
+	}
+}
+
+// detect runs the walk's detector on one miss and returns the verdict
+// plus, when non-robust, the witness cycle's node mask. The universe graph
+// answers over the subset's node mask; the streaming source composes the
+// subset's own graph from the BlockSet.
 func (w *walker) detect(ctx context.Context, mask int, ws *walkWorker) (bool, []uint64, error) {
 	tr := w.cfg.Tracer
 	var t0 time.Time
 	if w.universe != nil {
 		if ws.scratch == nil {
 			ws.scratch = w.universe.NewScratch()
+			ws.members = make([]uint64, w.words)
 		}
+		w.fillMembers(ws.members, mask)
 		if tr != nil {
 			t0 = time.Now()
 		}
@@ -536,24 +560,13 @@ func (w *walker) recordSched(masks []int32) {
 
 // foldCovers folds the walk's detector-decided robust verdicts into the
 // cover set, largest masks first: maximal covers insert, everything they
-// dominate is refused by an early-exit scan. Only complete walks call it —
-// a terminated walk's skipped masks are undecided — and a walk with no
-// detector-decided robust verdict (the warm steady state) has nothing new
-// to fold.
+// dominate is refused by an early-exit scan.
 func (w *walker) foldCovers() {
-	if !w.freshRobust.Load() {
-		return
-	}
-	members := w.workers[0].membersBuf(w.words)
 	for level := w.n; level >= 1; level-- {
 		w.levels = levelMasks(w.levels, w.n, level)
 		for _, mask := range w.levels {
-			if w.decided[mask] != dRobust {
-				continue
-			}
-			w.fillMembers(members, int(mask))
-			if w.entry.covers.Add(members) {
-				w.discovered.Store(true)
+			if w.decided[mask] == dRobust && w.covers.add(uint32(mask), false) {
+				w.discovered = true
 			}
 		}
 	}
@@ -573,7 +586,7 @@ func (w *walker) report() *SubsetReport {
 	rep.Checked = w.sum.Checked
 	rep.Pruned = w.sum.Pruned
 	rep.Cores = w.sum.Cores
-	rep.CertifiedCores = w.entry.cores.CertifiedLen()
+	rep.CertifiedCores = w.cores.certifiedLen()
 	return rep
 }
 
@@ -621,25 +634,26 @@ func binomial(n, k int) int {
 	return c
 }
 
-// minimizeCore reduces a witness node mask, in place, to a program-level
-// minimal non-robust core without running the detector: every trial (the
-// witness programs minus one) is a strict submask of the current subset
-// and was therefore decided at an earlier level — its verdict is already
-// in the decision table. Greedily dropping, in ascending program order,
-// every program whose removal leaves a non-robust verdict yields a minimal
-// set (one fixed-order pass suffices for monotone properties). In a fully
-// cold walk the witness programs are provably minimal already and every
-// trial reads robust; the lookups also keep the general path — seeds from
-// other universes or imported non-minimal facts — honest, at the cost of
-// bit operations instead of closure recomputations.
-func minimizeCore(decided []uint8, wmask []uint64, programMask [][]uint64) []uint64 {
-	progs := 0
+// minimizeCore reduces a witness node mask to the program mask of a
+// program-level minimal non-robust core without running the detector:
+// every trial (the witness programs minus one) is a strict submask of the
+// current subset and was therefore decided at an earlier level — its
+// verdict is already in the decision table. Greedily dropping, in
+// ascending program order, every program whose removal leaves a
+// non-robust verdict yields a minimal set (one fixed-order pass suffices
+// for monotone properties). In a fully cold walk the witness programs are
+// provably minimal already and every trial reads robust; the lookups also
+// keep the general path — seeds from other selections or imported
+// non-minimal facts — honest, at the cost of bit operations instead of
+// closure recomputations.
+func minimizeCore(decided []uint8, wmask []uint64, programMask [][]uint64) uint32 {
+	var progs uint32
 	for i, pm := range programMask {
 		if intersects(pm, wmask) {
 			progs |= 1 << i
 		}
 	}
-	for i := 0; i < len(programMask); i++ {
+	for i := range programMask {
 		if progs&(1<<i) == 0 {
 			continue
 		}
@@ -647,13 +661,7 @@ func minimizeCore(decided []uint8, wmask []uint64, programMask [][]uint64) []uin
 			progs = trial
 		}
 	}
-	clear(wmask)
-	for i, pm := range programMask {
-		if progs&(1<<i) != 0 {
-			orInto(wmask, pm)
-		}
-	}
-	return wmask
+	return progs
 }
 
 // subsetNames renders a mask as sorted program short names.

@@ -23,7 +23,7 @@ import (
 //   - RobustSubsetsCtx must equal the naive per-subset oracle on the
 //     robust and maximal sets;
 //   - a full streaming walk (lazy composition, cost-ordered levels) must
-//     report exactly what the collecting walk (universe detector,
+//     report exactly what the collecting walk (universe graph,
 //     ascending levels) reports — Checked, Pruned, Cores and
 //     CertifiedCores included — both on cold sessions and on sessions
 //     seeded with a certified core.

@@ -12,9 +12,9 @@
 //
 // A certified verdict flows back into the analysis session as a certified
 // non-robust core (analysis.Session.CertifyCore): the provenance bit rides
-// the same fact logs, snapshots and delta feeds as the cores themselves,
-// so later enumerations and stats report how many of their pruning facts
-// are backed by replayed executions rather than static reasoning alone.
+// the same fact store and snapshots as the cores themselves, so later
+// enumerations and stats report how many of their pruning facts are
+// backed by replayed executions rather than static reasoning alone.
 package certify
 
 import (
@@ -166,7 +166,7 @@ type Result struct {
 // the session and, on a non-robust verdict, tries to realize the witness
 // cycle into a replayed non-serializable execution. A certified core is
 // recorded back into the session (Session.CertifyCore), so the provenance
-// survives in snapshots and delta feeds.
+// survives in snapshots and reaches later subset reports.
 func Subset(ctx context.Context, sess *analysis.Session, cfg analysis.Config, programs []*btp.Program, opts Options) (*Result, error) {
 	res, err := sess.CheckCtx(ctx, programs, cfg)
 	if err != nil {

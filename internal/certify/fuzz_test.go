@@ -136,7 +136,7 @@ func FuzzCertifyRoundTrip(f *testing.F) {
 
 // TestRandomWorkloadSoundness500 is the acceptance property: 500 seeds
 // through the soundness check, no violations. Run with -race in CI; the
-// session internals (fact logs, antichain epochs) are exercised
+// session internals (block caches, fact store) are exercised
 // concurrently by the enumeration pool on every seed.
 func TestRandomWorkloadSoundness500(t *testing.T) {
 	if testing.Short() {

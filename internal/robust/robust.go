@@ -126,7 +126,7 @@ func (c *Checker) CheckLTPs(ltps []*btp.LTP) *Result {
 // reports the robust and maximal robust ones. At most
 // analysis.MaxSubsetPrograms programs are accepted; the check is
 // exponential in their number. The engine's lattice walk decides subsets
-// by core and cover containment or on the selection's universe detector
+// by core and cover containment or on the selection's universe graph
 // (see analysis.Session.RobustSubsets); the output is byte-identical to
 // the naive per-subset oracle (see NaiveRobustSubsets).
 func (c *Checker) RobustSubsets(programs []*btp.Program) (*SubsetReport, error) {

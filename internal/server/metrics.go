@@ -67,21 +67,15 @@ type endpointMetrics struct {
 }
 
 // aggregates is the per-scrape snapshot of everything that lives inside the
-// workload registry (session caches, result caches, size estimates). One
-// PreCollect walk fills it; the registered Func series read fields from the
-// snapshot instead of walking the registry once per series.
+// workload registry: the /v1/stats document's workload count and size, and
+// its per-workload session and result-cache blocks summed. One PreCollect
+// call fills it; the registered Func series read fields from the snapshot
+// instead of walking the registry once per series.
 type aggregates struct {
-	workloads                                   int
-	totalSize                                   int64
-	sessionPrograms, sessionUnfoldings          int
-	blockPairs                                  int
-	blockHits, blockMisses, blockInvalidated    uint64
-	cores, covers, certified                    int
-	coreSize                                    int64
-	coreHits, coverHits, coreMisses             uint64
-	subsetsPruned, schedChecked, schedHits      uint64
-	resultEntries                               int
-	resultHits, resultMisses, resultInvalidated uint64
+	workloads int
+	totalSize int64
+	cache     wire.CacheStats
+	results   wire.ResultCacheStats
 }
 
 // metrics owns the server's obs.Registry and the handles updated on the hot
@@ -100,52 +94,45 @@ type metrics struct {
 	agg aggregates
 }
 
-// Span implements obs.Tracer: one histogram observation per phase span.
-// Unknown phases are dropped (the map is fixed at startup; dropping beats
-// allocating a series from an unvalidated string).
+// Span implements obs.Tracer: one histogram observation per phase span,
+// from a request's tracer or from the snapshot flusher, whose spans belong
+// to no single request. Unknown phases are dropped (the map is fixed at
+// startup; dropping beats allocating a series from an unvalidated string).
 func (m *metrics) Span(phase string, d time.Duration) {
 	if h, ok := m.phase[phase]; ok {
 		h.ObserveDuration(d)
 	}
 }
 
-// observePhase records a span that does not flow through a Config tracer
-// (the snapshot-flush path, which belongs to no single request).
-func (m *metrics) observePhase(phase string, d time.Duration) {
-	if h, ok := m.phase[phase]; ok {
-		h.ObserveDuration(d)
-	}
-}
-
-// collect is the PreCollect hook: one registry walk per scrape, mirroring
-// handleStats' aggregation, published under the snapshot mutex.
+// collect is the PreCollect hook: it sums the per-workload blocks of the
+// same statsSnapshot /v1/stats serves, so the two endpoints cannot drift,
+// and publishes the sums under the snapshot mutex.
 func (m *metrics) collect() {
-	var a aggregates
-	for _, w := range m.srv.reg.all() {
-		a.workloads++
-		st := w.session().Stats()
-		a.sessionPrograms += st.Programs
-		a.sessionUnfoldings += st.Unfoldings
-		a.blockPairs += st.Blocks.Pairs
-		a.blockHits += st.Blocks.Hits
-		a.blockMisses += st.Blocks.Misses
-		a.blockInvalidated += st.Blocks.Invalidated
-		a.cores += st.Cores.Cores
-		a.covers += st.Cores.Covers
-		a.certified += st.Cores.Certified
-		a.coreSize += st.Cores.SizeBytes
-		a.coreHits += st.Cores.Hits
-		a.coverHits += st.Cores.CoverHits
-		a.coreMisses += st.Cores.Misses
-		a.subsetsPruned += st.Cores.Pruned
-		a.schedChecked += st.Cores.SchedChecked
-		a.schedHits += st.Cores.SchedHits
-		rc := w.results.stats()
-		a.resultEntries += rc.Entries
-		a.resultHits += rc.Hits
-		a.resultMisses += rc.Misses
-		a.resultInvalidated += rc.Invalidated
-		a.totalSize += w.sizeBytes()
+	st := m.srv.statsSnapshot()
+	a := aggregates{workloads: st.Workloads, totalSize: st.TotalSizeBytes}
+	c, r := &a.cache, &a.results
+	for _, ws := range st.WorkloadStats {
+		w := ws.Cache
+		c.Programs += w.Programs
+		c.Unfoldings += w.Unfoldings
+		c.Pairs += w.Pairs
+		c.Hits += w.Hits
+		c.Misses += w.Misses
+		c.Invalidated += w.Invalidated
+		c.Cores.Cores += w.Cores.Cores
+		c.Cores.Covers += w.Cores.Covers
+		c.Cores.CertifiedCores += w.Cores.CertifiedCores
+		c.Cores.Hits += w.Cores.Hits
+		c.Cores.CoverHits += w.Cores.CoverHits
+		c.Cores.Misses += w.Cores.Misses
+		c.Cores.SubsetsPruned += w.Cores.SubsetsPruned
+		c.Cores.SizeBytes += w.Cores.SizeBytes
+		c.Cores.SchedChecked += w.Cores.SchedChecked
+		c.Cores.SchedHits += w.Cores.SchedHits
+		r.Entries += ws.ResultCache.Entries
+		r.Hits += ws.ResultCache.Hits
+		r.Misses += ws.ResultCache.Misses
+		r.Invalidated += ws.ResultCache.Invalidated
 	}
 	m.mu.Lock()
 	m.agg = a
@@ -272,56 +259,56 @@ func newMetrics(s *Server) *metrics {
 		"Resolved server-wide worker count for requests without their own.",
 		func() float64 { return float64(effectiveParallelism(s.opts.Parallelism)) })
 
-	// Session-cache aggregates (PreCollect walks the registry once per
-	// scrape; these read the snapshot).
+	// Session-cache aggregates (PreCollect sums the /v1/stats snapshot once
+	// per scrape; these read the sums).
 	r.GaugeFunc("mvrc_session_programs", "Validated programs across sessions.",
-		func() float64 { return float64(m.snap().sessionPrograms) })
+		func() float64 { return float64(m.snap().cache.Programs) })
 	r.GaugeFunc("mvrc_session_unfoldings", "Memoized (program, bound) unfoldings.",
-		func() float64 { return float64(m.snap().sessionUnfoldings) })
+		func() float64 { return float64(m.snap().cache.Unfoldings) })
 	r.GaugeFunc("mvrc_block_cache_pairs", "Cached pairwise edge blocks (Algorithm 1).",
-		func() float64 { return float64(m.snap().blockPairs) })
+		func() float64 { return float64(m.snap().cache.Pairs) })
 	r.CounterFunc("mvrc_block_cache_hits_total", "Block-cache hits.",
-		func() float64 { return float64(m.snap().blockHits) })
+		func() float64 { return float64(m.snap().cache.Hits) })
 	r.CounterFunc("mvrc_block_cache_misses_total", "Block-cache misses (pairs computed).",
-		func() float64 { return float64(m.snap().blockMisses) })
+		func() float64 { return float64(m.snap().cache.Misses) })
 	r.CounterFunc("mvrc_block_cache_invalidated_total", "Block-cache pairs evicted by PATCH.",
-		func() float64 { return float64(m.snap().blockInvalidated) })
+		func() float64 { return float64(m.snap().cache.Invalidated) })
 	r.GaugeFunc("mvrc_core_store_cores", "Stored minimal non-robust cores.",
-		func() float64 { return float64(m.snap().cores) })
+		func() float64 { return float64(m.snap().cache.Cores.Cores) })
 	r.GaugeFunc("mvrc_core_store_covers", "Stored robust covers.",
-		func() float64 { return float64(m.snap().covers) })
+		func() float64 { return float64(m.snap().cache.Cores.Covers) })
 	r.GaugeFunc("mvrc_certified_cores",
 		"Stored minimal non-robust cores backed by a replayed non-serializable execution.",
-		func() float64 { return float64(m.snap().certified) })
+		func() float64 { return float64(m.snap().cache.Cores.CertifiedCores) })
 	r.CounterFunc("mvrc_unrealized_candidates_total",
 		"Candidate instantiations searched by certify requests without finding a counterexample.",
 		counterOf(&s.unrealizedCands).load)
 	r.GaugeFunc("mvrc_core_store_size_bytes", "Estimated core/cover store bytes.",
-		func() float64 { return float64(m.snap().coreSize) })
+		func() float64 { return float64(m.snap().cache.Cores.SizeBytes) })
 	r.CounterFunc("mvrc_core_hits_total", "Subsets decided non-robust by core containment.",
-		func() float64 { return float64(m.snap().coreHits) })
+		func() float64 { return float64(m.snap().cache.Cores.Hits) })
 	r.CounterFunc("mvrc_cover_hits_total", "Subsets decided robust by cover containment.",
-		func() float64 { return float64(m.snap().coverHits) })
+		func() float64 { return float64(m.snap().cache.Cores.CoverHits) })
 	r.CounterFunc("mvrc_core_misses_total", "Subsets that ran the cycle detector.",
-		func() float64 { return float64(m.snap().coreMisses) })
+		func() float64 { return float64(m.snap().cache.Cores.Misses) })
 	r.CounterFunc("mvrc_subsets_pruned_total",
 		"Detector runs skipped by containment (core hits + cover hits).",
-		func() float64 { return float64(m.snap().subsetsPruned) })
+		func() float64 { return float64(m.snap().cache.Cores.SubsetsPruned) })
 	r.CounterFunc("mvrc_sched_checked_total",
 		"Detector-run subsets placed in the first half of their level's schedule.",
-		func() float64 { return float64(m.snap().schedChecked) })
+		func() float64 { return float64(m.snap().cache.Cores.SchedChecked) })
 	r.CounterFunc("mvrc_sched_hits_total",
 		"Front-loaded detector runs that were non-robust (scheduler wins).",
-		func() float64 { return float64(m.snap().schedHits) })
+		func() float64 { return float64(m.snap().cache.Cores.SchedHits) })
 	r.GaugeFunc("mvrc_result_cache_entries", "Cached subsets responses.",
-		func() float64 { return float64(m.snap().resultEntries) })
+		func() float64 { return float64(m.snap().results.Entries) })
 	r.CounterFunc("mvrc_result_cache_hits_total", "Result-cache hits (stored-bytes replays).",
-		func() float64 { return float64(m.snap().resultHits) })
+		func() float64 { return float64(m.snap().results.Hits) })
 	r.CounterFunc("mvrc_result_cache_misses_total", "Result-cache misses.",
-		func() float64 { return float64(m.snap().resultMisses) })
+		func() float64 { return float64(m.snap().results.Misses) })
 	r.CounterFunc("mvrc_result_cache_invalidated_total",
 		"Result-cache entries dropped by PATCH version bumps.",
-		func() float64 { return float64(m.snap().resultInvalidated) })
+		func() float64 { return float64(m.snap().results.Invalidated) })
 	return m
 }
 

@@ -479,3 +479,118 @@ func TestMetricsCertify(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsMetricsParity: /v1/stats and /metrics render one telemetry
+// source, so after a fixed request script every /v1/stats counter with a
+// /metrics twin reads the same on both — the per-workload session and
+// result-cache blocks summed, the core store's cores and covers included.
+func TestStatsMetricsParity(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	sb := registerSmallBank(t, ts)
+	var reg wire.RegisterWorkloadResponse
+	doJSON(t, http.MethodPost, ts.URL+"/v1/workloads", &wire.RegisterWorkloadRequest{Benchmark: "tpcc"}, &reg)
+	for _, id := range []string{sb, reg.ID} {
+		if resp, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/subsets", nil, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("subsets: %d", resp.StatusCode)
+		}
+		resp, err := http.Get(ts.URL + "/v1/workloads/" + id + "/subsets:stream?mode=first_non_robust")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/check", nil, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("check: %d", resp.StatusCode)
+		}
+	}
+	if resp, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+sb+"/certify",
+		&wire.CertifyRequest{CheckRequest: wire.CheckRequest{Programs: []string{"Bal", "Am"}}, MaxSchedules: 1000}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("certify: %d\n%s", resp.StatusCode, raw)
+	}
+	if resp, raw := doJSON(t, http.MethodPatch, ts.URL+"/v1/workloads/"+sb+"/programs/DepositChecking",
+		&wire.PatchProgramRequest{SQL: patchedDepositChecking}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("patch: %d\n%s", resp.StatusCode, raw)
+	}
+	if resp, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+sb+"/subsets", nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-patch subsets: %d", resp.StatusCode)
+	}
+
+	var st wire.StatsResponse
+	doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &st)
+	doc := scrape(t, ts)
+	var cache wire.CacheStats
+	var results wire.ResultCacheStats
+	for _, ws := range st.WorkloadStats {
+		cache.Programs += ws.Cache.Programs
+		cache.Unfoldings += ws.Cache.Unfoldings
+		cache.Pairs += ws.Cache.Pairs
+		cache.Hits += ws.Cache.Hits
+		cache.Misses += ws.Cache.Misses
+		cache.Invalidated += ws.Cache.Invalidated
+		cache.Cores.Cores += ws.Cache.Cores.Cores
+		cache.Cores.Covers += ws.Cache.Cores.Covers
+		cache.Cores.CertifiedCores += ws.Cache.Cores.CertifiedCores
+		cache.Cores.Hits += ws.Cache.Cores.Hits
+		cache.Cores.CoverHits += ws.Cache.Cores.CoverHits
+		cache.Cores.Misses += ws.Cache.Cores.Misses
+		cache.Cores.SubsetsPruned += ws.Cache.Cores.SubsetsPruned
+		cache.Cores.SizeBytes += ws.Cache.Cores.SizeBytes
+		cache.Cores.SchedChecked += ws.Cache.Cores.SchedChecked
+		cache.Cores.SchedHits += ws.Cache.Cores.SchedHits
+		results.Entries += ws.ResultCache.Entries
+		results.Hits += ws.ResultCache.Hits
+		results.Misses += ws.ResultCache.Misses
+		results.Invalidated += ws.ResultCache.Invalidated
+	}
+	if cache.Cores.Cores == 0 || cache.Cores.Covers == 0 || cache.Cores.CertifiedCores == 0 || results.Invalidated == 0 {
+		t.Fatalf("script left the compared blocks empty: cache %+v, results %+v", cache, results)
+	}
+	twins := map[string]float64{
+		"mvrc_stats_generation":                    float64(st.StatsGeneration),
+		"mvrc_workloads":                           float64(st.Workloads),
+		"mvrc_workloads_size_bytes":                float64(st.TotalSizeBytes),
+		"mvrc_max_bytes":                           float64(st.MaxBytes),
+		"mvrc_workload_evictions_total":            float64(st.Evictions),
+		"mvrc_workload_evictions_bytes_total":      float64(st.EvictionsBytes),
+		"mvrc_snapshots_loaded":                    float64(st.SnapshotsLoaded),
+		"mvrc_snapshot_persist_errors_total":       float64(st.PersistErrors),
+		"mvrc_default_parallelism":                 float64(st.DefaultParallelism),
+		"mvrc_unrealized_candidates_total":         float64(st.UnrealizedCandidates),
+		"mvrc_certified_cores":                     float64(st.CertifiedCores),
+		`mvrc_api_requests_total{kind="register"}`: float64(st.Requests.Register),
+		`mvrc_api_requests_total{kind="check"}`:    float64(st.Requests.Check),
+		`mvrc_api_requests_total{kind="subsets"}`:  float64(st.Requests.Subsets),
+		`mvrc_api_requests_total{kind="certify"}`:  float64(st.Requests.Certify),
+		`mvrc_api_requests_total{kind="patch"}`:    float64(st.Requests.Patch),
+		"mvrc_coalesced_requests_total":            float64(st.Requests.Coalesced),
+		"mvrc_streamed_requests_total":             float64(st.Requests.Streamed),
+		"mvrc_stream_early_terminations_total":     float64(st.Requests.EarlyTerminations),
+		"mvrc_session_programs":                    float64(cache.Programs),
+		"mvrc_session_unfoldings":                  float64(cache.Unfoldings),
+		"mvrc_block_cache_pairs":                   float64(cache.Pairs),
+		"mvrc_block_cache_hits_total":              float64(cache.Hits),
+		"mvrc_block_cache_misses_total":            float64(cache.Misses),
+		"mvrc_block_cache_invalidated_total":       float64(cache.Invalidated),
+		"mvrc_core_store_cores":                    float64(cache.Cores.Cores),
+		"mvrc_core_store_covers":                   float64(cache.Cores.Covers),
+		"mvrc_core_store_size_bytes":               float64(cache.Cores.SizeBytes),
+		"mvrc_core_hits_total":                     float64(cache.Cores.Hits),
+		"mvrc_cover_hits_total":                    float64(cache.Cores.CoverHits),
+		"mvrc_core_misses_total":                   float64(cache.Cores.Misses),
+		"mvrc_subsets_pruned_total":                float64(cache.Cores.SubsetsPruned),
+		"mvrc_sched_checked_total":                 float64(cache.Cores.SchedChecked),
+		"mvrc_sched_hits_total":                    float64(cache.Cores.SchedHits),
+		"mvrc_result_cache_entries":                float64(results.Entries),
+		"mvrc_result_cache_hits_total":             float64(results.Hits),
+		"mvrc_result_cache_misses_total":           float64(results.Misses),
+		"mvrc_result_cache_invalidated_total":      float64(results.Invalidated),
+	}
+	for series, want := range twins {
+		if got := doc.value(t, series); got != want {
+			t.Errorf("%s = %v on /metrics, %v on /v1/stats", series, got, want)
+		}
+	}
+	if want := float64(cache.Cores.CertifiedCores); doc.value(t, "mvrc_certified_cores") != want {
+		t.Errorf("top-level certified_cores %d differs from the summed workload blocks %v", st.CertifiedCores, want)
+	}
+}

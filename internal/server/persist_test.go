@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/benchmarks"
 	"repro/internal/btp"
 	"repro/internal/robust"
@@ -406,12 +409,47 @@ func TestCoresPersistAcrossRestart(t *testing.T) {
 		t.Errorf("restored core store has %d cores, want the %d persisted", wsBoot.Cache.Cores.Cores, ws.Cache.Cores.Cores)
 	}
 
+	// The persisted cores and covers decide the whole lattice: a full
+	// stream over the restarted workload runs no detector and computes no
+	// Algorithm 1 pair.
+	resp, err := http.Get(ts2.URL + "/v1/workloads/" + id + "/subsets:stream?mode=all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-restart stream: %d %v", resp.StatusCode, err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	for _, line := range lines[:len(lines)-1] {
+		var v wire.StreamVerdictRecord
+		if err := json.Unmarshal(line, &v); err != nil {
+			t.Fatalf("stream line %s: %v", line, err)
+		}
+		if v.DecidedBy == analysis.DecidedDetector {
+			t.Errorf("post-restart stream ran the detector on %v", v.Programs)
+		}
+	}
+	var sum wire.StreamSummaryRecord
+	if err := json.Unmarshal(lines[len(lines)-1], &sum); err != nil || !sum.Summary {
+		t.Fatalf("stream summary %s: %v", lines[len(lines)-1], err)
+	}
+	if sum.SubsetsPruned != 31 || sum.Checked != 0 {
+		t.Errorf("post-restart stream pruned %d / checked %d, want 31 / 0", sum.SubsetsPruned, sum.Checked)
+	}
+	var wsStream wire.WorkloadStats
+	doJSON(t, http.MethodGet, ts2.URL+"/v1/workloads/"+id, nil, &wsStream)
+	if wsStream.Cache.Misses != 0 {
+		t.Errorf("post-restart stream computed %d block pairs, want 0", wsStream.Cache.Misses)
+	}
+
 	// A fresh enumeration over a program selection the result cache has
 	// never seen: the seeded cores covering that selection prune without a
 	// rediscovery. {Bal, WC, Am} contains non-robust pairs on a default
 	// SmallBank, so at least one pruned superset must show up.
 	var rep2 wire.SubsetsResponse
-	resp, _ := doJSON(t, http.MethodPost, ts2.URL+"/v1/workloads/"+id+"/subsets",
+	resp, _ = doJSON(t, http.MethodPost, ts2.URL+"/v1/workloads/"+id+"/subsets",
 		&wire.CheckRequest{Programs: []string{"Bal", "WC", "Am"}}, &rep2)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-restart subsets: %d", resp.StatusCode)

@@ -440,7 +440,7 @@ func (s *Server) persist(w *workload) bool {
 	if err == nil {
 		err = s.snap.Save(f)
 	}
-	s.metrics.observePhase(obs.PhaseFlush, time.Since(start))
+	s.metrics.Span(obs.PhaseFlush, time.Since(start))
 	s.dirtyMu.Lock()
 	if err != nil {
 		s.failedPersist[w.id] = true
@@ -1394,17 +1394,21 @@ func (s *Server) handleStats(rw http.ResponseWriter, _ *http.Request) {
 	// the response value first — the registry lock (inside reg.all) and the
 	// per-workload session locks are all released before WriteJSON runs, so
 	// a slow client draining the encode stream never holds up registration,
-	// eviction or other stats readers.
-	writeJSON(rw, http.StatusOK, s.statsSnapshot())
+	// eviction or other stats readers. Only a served response advances the
+	// stats generation; a /metrics scrape reads the same snapshot without
+	// stamping it.
+	st := s.statsSnapshot()
+	st.StatsGeneration = s.statsGen.Add(1)
+	writeJSON(rw, http.StatusOK, st)
 }
 
-// statsSnapshot builds the /v1/stats document from point-in-time counter
-// reads and stamps it with the next stats generation.
+// statsSnapshot builds the /v1/stats document, without its generation
+// stamp, from point-in-time counter reads; /metrics aggregates the same
+// document.
 func (s *Server) statsSnapshot() *wire.StatsResponse {
 	workloads := s.reg.all()
 	resp := &wire.StatsResponse{
 		UptimeSeconds:        time.Since(s.start).Seconds(),
-		StatsGeneration:      s.statsGen.Add(1),
 		Workloads:            len(workloads),
 		Evictions:            s.reg.evictions.Load(),
 		EvictionsBytes:       s.reg.evictionsBytes.Load(),

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/benchmarks"
@@ -123,4 +124,52 @@ func FuzzDetectMatchesLiteral(f *testing.F) {
 			checkSubsetDetect(t, fmt.Sprintf("seed %d", seed), w.Schema, g, g.NewScratch(), mask)
 		}
 	})
+}
+
+// TestRobustWitnessMask: across every benchmark universe, setting, method
+// and subset mask, a robust RobustWitness verdict carries no mask, and a
+// non-robust one returns a mask that (a) is non-empty, (b) is contained in
+// the subset and (c) is itself non-robust — the witness cycle lives inside
+// it.
+func TestRobustWitnessMask(t *testing.T) {
+	for _, bench := range []*benchmarks.Benchmark{benchmarks.SmallBank(), benchmarks.TPCC(), benchmarks.Auction()} {
+		ltps := btp.UnfoldAll2(bench.Programs)
+		if len(ltps) > 16 {
+			ltps = ltps[:16] // keep the 2^n sweep cheap
+		}
+		for _, setting := range AllSettings {
+			g := Compose(NewBlockSet(bench.Schema, setting), ltps)
+			scratch := g.NewScratch()
+			words := (len(ltps) + 63) / 64
+			for _, method := range []Method{TypeII, TypeI} {
+				for mask := 1; mask < 1<<len(ltps); mask++ {
+					members := make([]uint64, words)
+					for i := 0; i < len(ltps); i++ {
+						if mask&(1<<i) != 0 {
+							members[i/64] |= 1 << (uint(i) % 64)
+						}
+					}
+					robust, wmask := g.RobustWitness(method, members, scratch)
+					if robust {
+						if wmask != nil {
+							t.Fatalf("robust subset returned a witness mask")
+						}
+						continue
+					}
+					if slices.Equal(wmask, make([]uint64, words)) {
+						t.Fatalf("%s/%s/%s mask %b: empty witness mask", bench.Name, setting, method, mask)
+					}
+					for w := range wmask {
+						if wmask[w]&^members[w] != 0 {
+							t.Fatalf("%s/%s/%s mask %b: witness mask leaves the subset", bench.Name, setting, method, mask)
+						}
+					}
+					if ok, _ := g.RobustWitness(method, wmask, scratch); ok {
+						t.Fatalf("%s/%s/%s mask %b: witness mask %b not itself non-robust",
+							bench.Name, setting, method, mask, wmask[0])
+					}
+				}
+			}
+		}
+	}
 }
