@@ -54,7 +54,11 @@
 //	                default), warn, error, off
 //	-pprof-addr     serve net/http/pprof on a second listener (e.g.
 //	                127.0.0.1:6060); empty disables. Kept off the API
-//	                listener so profiling is never publicly exposed
+//	                listener so profiling is never publicly exposed.
+//	                Heap and allocs profiles sample only while it is
+//	                set: without it the process runs with
+//	                runtime.MemProfileRate 0, since no endpoint could
+//	                read the samples
 //	-version        print version/revision (from the embedded build info)
 //	                and exit
 //
@@ -104,6 +108,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -125,7 +130,7 @@ func main() {
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request analysis deadline (0 = none)")
 		maxChecks    = flag.Int("max-concurrent-checks", 256, "analysis requests executing at once; beyond it requests are shed with 429 + Retry-After (0 = unlimited)")
 		logLevel     = flag.String("log-level", "info", "structured logging to stderr: debug, info, warn, error, off")
-		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
+		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled, and heap/allocs profiles do not sample)")
 		version      = flag.Bool("version", false, "print version information and exit")
 	)
 	flag.DurationVar(timeout, "request-timeout", 30*time.Second, "alias of -timeout")
@@ -225,7 +230,16 @@ func servePprof(ctx context.Context, addr string, out io.Writer) error {
 // run boots the service on a fresh listener, preloads benchmarks, logs the
 // bound address and serves until ctx is cancelled. Split from main (and
 // given the listener-first structure) so tests can boot on port 0.
+//
+// Without -pprof-addr, run turns heap profiling off before building
+// anything: at the default rate the runtime files a stack for every
+// 512 KiB allocated into a bucket hash and per-stack buckets it never
+// frees (1-2 MB of RSS under load), and only /debug/pprof/heap and
+// /debug/pprof/allocs could read them.
 func run(ctx context.Context, out io.Writer, o options) error {
+	if o.pprofAddr == "" {
+		runtime.MemProfileRate = 0
+	}
 	// The flag keeps its historic "0 = no deadline" meaning; the library's
 	// zero value now means DefaultRequestTimeout, so 0 maps to the
 	// explicit negative opt-out.

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -41,12 +42,17 @@ var addrRe = regexp.MustCompile(`listening on (\S+)`)
 // and returns the base URL plus a shutdown func.
 func bootServer(t *testing.T, preload string) (string, func()) {
 	t.Helper()
-	return bootServerOpts(t, options{addr: "127.0.0.1:0", preload: preload, timeout: 30 * time.Second})
+	base, _, shutdown := bootServerOpts(t, options{preload: preload, timeout: 30 * time.Second})
+	return base, shutdown
 }
 
-// bootServerOpts is bootServer with full flag control (port 0 enforced).
-func bootServerOpts(t *testing.T, o options) (string, func()) {
+// bootServerOpts is bootServer with full flag control (port 0 enforced); it
+// also returns the boot log. run sets the heap sampling rate process-wide,
+// so the rate is put back when the test ends, whatever order tests run in.
+func bootServerOpts(t *testing.T, o options) (string, *syncBuffer, func()) {
 	t.Helper()
+	rate := runtime.MemProfileRate
+	t.Cleanup(func() { runtime.MemProfileRate = rate })
 	o.addr = "127.0.0.1:0"
 	ctx, cancel := context.WithCancel(context.Background())
 	out := &syncBuffer{}
@@ -70,7 +76,7 @@ func bootServerOpts(t *testing.T, o options) (string, func()) {
 	if base == "" {
 		t.Fatalf("server never logged its address:\n%s", out.String())
 	}
-	return base, func() {
+	return base, out, func() {
 		cancel()
 		if err := <-done; err != nil {
 			t.Errorf("serve returned %v", err)
@@ -135,7 +141,7 @@ func TestStateDirRestart(t *testing.T) {
 	dir := t.TempDir()
 	o := options{stateDir: dir, timeout: 30 * time.Second}
 
-	base, shutdown := bootServerOpts(t, o)
+	base, _, shutdown := bootServerOpts(t, o)
 	resp, err := http.Post(base+"/v1/workloads", "application/json",
 		strings.NewReader(`{"benchmark": "smallbank"}`))
 	if err != nil {
@@ -154,7 +160,7 @@ func TestStateDirRestart(t *testing.T) {
 	}
 	shutdown()
 
-	base, shutdown = bootServerOpts(t, o)
+	base, _, shutdown = bootServerOpts(t, o)
 	defer shutdown()
 	resp, err = http.Post(base+"/v1/workloads/"+reg.ID+"/check", "application/json",
 		strings.NewReader(`{"programs": ["Am", "DC", "TS"]}`))
@@ -185,44 +191,32 @@ func TestPreloadErrors(t *testing.T) {
 
 var pprofRe = regexp.MustCompile(`pprof on (\S+)`)
 
+// TestHeapSamplingOffWithoutPprof: without -pprof-addr no endpoint can
+// read the heap profile, so run stops the runtime from sampling for it.
+func TestHeapSamplingOffWithoutPprof(t *testing.T) {
+	_, _, shutdown := bootServerOpts(t, options{timeout: 30 * time.Second})
+	defer shutdown()
+	if got := runtime.MemProfileRate; got != 0 {
+		t.Errorf("runtime.MemProfileRate = %d without -pprof-addr, want 0", got)
+	}
+}
+
 // TestPprofAndMetrics boots with -pprof-addr on port 0 and asserts both
 // observability surfaces: the API listener serves /metrics in Prometheus
-// text format, and the side listener serves the pprof index — two separate
-// ports, so profiling can be firewalled away from the API.
+// text format, and the side listener serves the pprof index and a heap
+// profile sampled at the default rate — two separate ports, so profiling
+// can be firewalled away from the API.
 func TestPprofAndMetrics(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	out := &syncBuffer{}
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, out, options{
-			addr: "127.0.0.1:0", preload: "smallbank",
-			timeout: 30 * time.Second, pprofAddr: "127.0.0.1:0",
-		})
-	}()
-	defer func() {
-		cancel()
-		if err := <-done; err != nil {
-			t.Errorf("serve returned %v", err)
-		}
-	}()
-	var base, pprofURL string
-	for i := 0; i < 2000 && (base == "" || pprofURL == ""); i++ {
-		if m := addrRe.FindStringSubmatch(out.String()); m != nil {
-			base = "http://" + m[1]
-		}
-		if m := pprofRe.FindStringSubmatch(out.String()); m != nil {
-			pprofURL = m[1]
-		}
-		select {
-		case err := <-done:
-			t.Fatalf("server exited early: %v\n%s", err, out.String())
-		default:
-		}
-		time.Sleep(time.Millisecond)
+	base, out, shutdown := bootServerOpts(t, options{
+		preload: "smallbank", timeout: 30 * time.Second, pprofAddr: "127.0.0.1:0",
+	})
+	defer shutdown()
+	// The pprof listener is bound and logged before the API listener.
+	m := pprofRe.FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("boot log missing the pprof address:\n%s", out.String())
 	}
-	if base == "" || pprofURL == "" {
-		t.Fatalf("boot log missing addresses:\n%s", out.String())
-	}
+	pprofURL := m[1]
 
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -247,6 +241,19 @@ func TestPprofAndMetrics(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), "profile") {
 		t.Fatalf("pprof index: %d\n%.200s", resp.StatusCode, raw)
+	}
+
+	// The text heap profile's header names twice the sampling rate:
+	// heap/1048576 is the runtime's default of 512 KiB, still in force.
+	resp, err = http.Get(pprofURL + "heap?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	first, _, _ := strings.Cut(string(raw), "\n")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(first, "@ heap/1048576") {
+		t.Fatalf("heap profile: %d, first line %q, want it to contain \"@ heap/1048576\"", resp.StatusCode, first)
 	}
 }
 

@@ -114,6 +114,7 @@ func TestDocsMentionCode(t *testing.T) {
 		"BenchmarkServerOverhead", "TestAdmissionZeroAlloc",
 		"TestNilTracerZeroAllocOverhead",
 		"MaxRequestSchedules", "max_schedules_too_large",
+		"MemProfileRate", "MaxBenchmarkN", "n_too_large", "FuzzServerRequests",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("ARCHITECTURE.md no longer mentions %q — update the doc with the code", want)

@@ -322,6 +322,32 @@ func TestMaxSchedulesLimit(t *testing.T) {
 	release()
 }
 
+// TestBenchmarkNLimit: registration refuses an Auction n above
+// wire.MaxBenchmarkN with a structured 400 and registers nothing, and
+// accepts the limit itself.
+func TestBenchmarkNLimit(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	url := ts.URL + "/v1/workloads"
+	over := wire.MaxBenchmarkN + 1
+	resp, raw := doJSON(t, http.MethodPost, url, &wire.RegisterWorkloadRequest{Benchmark: "auction", N: over}, nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("n %d: %d, want 400\n%s", over, resp.StatusCode, raw)
+	}
+	want := fmt.Sprintf("n %d exceeds the limit of %d", over, wire.MaxBenchmarkN)
+	if e := decodeError(t, raw); e.Code != "n_too_large" || e.Error != want {
+		t.Errorf("body = %+v, want code n_too_large and %q", e, want)
+	}
+	if n := s.reg.len(); n != 0 {
+		t.Errorf("a refused registration left %d workloads", n)
+	}
+	var reg wire.RegisterWorkloadResponse
+	resp, raw = doJSON(t, http.MethodPost, url, &wire.RegisterWorkloadRequest{Benchmark: "auction", N: wire.MaxBenchmarkN}, &reg)
+	if resp.StatusCode != http.StatusCreated || len(reg.Programs) != 2*wire.MaxBenchmarkN {
+		t.Fatalf("n %d: %d with %d programs, want 201 with %d\n%.300s",
+			wire.MaxBenchmarkN, resp.StatusCode, len(reg.Programs), 2*wire.MaxBenchmarkN, raw)
+	}
+}
+
 // TestRequestBodyLimit: a body over maxBodyBytes — a :fromSQL script or a
 // /check request — is answered 413 with code body_too_large instead of
 // being decoded, and the server keeps serving afterwards.

@@ -917,6 +917,13 @@ func (s *Server) handleRegister(rw http.ResponseWriter, r *http.Request) {
 	)
 	switch {
 	case req.Benchmark != "":
+		if req.N > wire.MaxBenchmarkN {
+			badRequest(rw, &wire.CodedError{
+				Code: "n_too_large",
+				Msg:  fmt.Sprintf("n %d exceeds the limit of %d", req.N, wire.MaxBenchmarkN),
+			})
+			return
+		}
 		bench, err := benchmarks.ByName(req.Benchmark, req.N)
 		if err != nil {
 			writeError(rw, http.StatusBadRequest, err)

@@ -43,7 +43,8 @@ func WriteJSON(w io.Writer, v any) error {
 // unfold_bound above btp.MaxUnfoldBound answers 400 with Code
 // "unfold_bound_too_large", a max_schedules above
 // certify.MaxRequestSchedules answers 400 with Code
-// "max_schedules_too_large", and a request body over the server's size
+// "max_schedules_too_large", a registration n above MaxBenchmarkN answers
+// 400 with Code "n_too_large", and a request body over the server's size
 // limit answers 413 with Code "body_too_large".
 type Error struct {
 	Error             string `json:"error"`
@@ -168,6 +169,13 @@ type RegisterWorkloadRequest struct {
 	Schema      *Schema `json:"schema,omitempty"`
 	ProgramsSQL string  `json:"programs_sql,omitempty"`
 }
+
+// MaxBenchmarkN caps RegisterWorkloadRequest.N: Auction(n) builds n
+// relations and 2n programs from one number in the body, and a registered
+// workload keeps about 4.7 KB per unit of n, so without a cap a few bytes
+// could ask for gigabytes. 100 is the largest size of the Figure 8 sweep
+// (experiments -maxn).
+const MaxBenchmarkN = 100
 
 // FromSQLRequest registers a workload from dialect SQL via
 // POST /v1/workloads:fromSQL. Either Script (a self-contained script: DDL
