@@ -223,14 +223,13 @@ func BenchmarkRobustSubsets(b *testing.B) {
 		}
 	}
 
-	// The streaming pair measures cold time-to-first-verdict (the quantity
-	// streaming exists to shorten), both as the whole-op time and as an
-	// explicit ttfv-ns/op metric:
+	// The streaming pair measures cold time-to-first-verdict, both as the
+	// whole-op time and as an explicit ttfv-ns/op metric:
 	//
 	//	stream-first-non-robust — a cold checker per iteration streams in
-	//	        first_non_robust mode: lazy per-subset composition plus the
-	//	        cost-ordered schedule reach a non-robust verdict after a
-	//	        prefix of level 1, never composing the universe graph
+	//	        first_non_robust mode: its first detector miss composes the
+	//	        universe graph, the first verdict follows, and the walk
+	//	        stops at the first non-robust subset in ascending mask order
 	//	pruned-cold — the monolithic comparator: a cold checker per
 	//	        iteration runs the full lattice-pruned enumeration, whose
 	//	        first verdict is only available with the final report

@@ -91,7 +91,7 @@ func TestDocsMentionCode(t *testing.T) {
 		"MaxUnfoldBound", "unfold_bound_too_large", "body_too_large",
 		"-flush-interval", "Server.Flush",
 		"RobustSubsetsStream", "subsets:stream", "first_non_robust",
-		"StreamSummary", "streamed_requests", "sched_checked",
+		"StreamSummary", "streamed_requests", "TestCoresPersistAcrossRestart",
 		"MaxSubsets", "StreamVerdictRecord",
 		"mvrc_phase_duration_seconds", "mvrc_http_requests_total",
 		"obs.Tracer", "WithTracer", "X-Request-ID", "debug=timings",

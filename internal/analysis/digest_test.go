@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -22,15 +23,18 @@ import (
 )
 
 // latticeFactDigest is the SHA-256 of everything latticeFactScript pins.
-const latticeFactDigest = "6a1570397c6c62fde1a2a2ae1a2d9ee3ee742354e5aef26ec158224381f35ac3"
+const latticeFactDigest = "78f3a0cfdf891fc7095a6897d9d55d70963f7dbd3f4faf2e44f97888decf7e50"
 
 // TestLatticeFactDigest pins the fact store's observable output: the
 // verdicts, core counts, certified counts and exported cores of a fixed
 // script of walks, certifications, imports and invalidations over the
 // three benchmarks, Auction(3) and 120 random workloads, plus the full
-// pruning telemetry and stream records of a session that walks one
-// selection. A refactoring of the store or the walk that moves any of them
-// moves the digest.
+// pruning telemetry and stream verdicts of a session that walks one
+// selection. Stream verdicts are pinned per level as a set (sorted by
+// size, then names), not in emission order; a first_non_robust stream
+// pins only its stop: the last verdict's size, verdict and decision, the
+// core count and the termination. A refactoring of the store or the walk
+// that moves any of them moves the digest.
 func TestLatticeFactDigest(t *testing.T) {
 	d := &factDigest{h: sha256.New()}
 	latticeFactScript(t, d)
@@ -152,17 +156,32 @@ func factScriptCell(t *testing.T, d *factDigest, schema *relschema.Schema, all [
 		{Mode: analysis.StreamMaximalRobust},
 		{Mode: analysis.StreamTopK, K: 2},
 	} {
-		var records []string
+		var records []analysis.StreamVerdict
 		sum, err := streamed.RobustSubsetsStream(context.Background(), all, cfg, opts, func(v analysis.StreamVerdict) error {
-			records = append(records, fmt.Sprintf("%v/%d/%v/%s", v.Programs, v.Size, v.Robust, v.DecidedBy))
+			records = append(records, v)
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("stream %s: %v", opts.Mode, err)
 		}
-		d.pin("stream %s records=%v", opts.Mode, records)
-		d.pin("stream %s emitted=%d checked=%d pruned=%d cores=%d terminated=%v reason=%q topk=%v",
-			opts.Mode, sum.Emitted, sum.Checked, sum.Pruned, sum.Cores, sum.Terminated, sum.Reason, sum.TopK)
+		if opts.Mode == analysis.StreamFirstNonRobust {
+			// The visit order within a level picks which smallest
+			// non-robust subset the stream stops at; pinned is what any
+			// order agrees on.
+			last := records[len(records)-1]
+			d.pin("stream %s last=%d/%v/%s cores=%d terminated=%v reason=%q",
+				opts.Mode, last.Size, last.Robust, last.DecidedBy, sum.Cores, sum.Terminated, sum.Reason)
+			d.note("stream %s records=%v", opts.Mode, renderVerdicts(records))
+			d.note("stream %s emitted=%d checked=%d pruned=%d", opts.Mode, sum.Emitted, sum.Checked, sum.Pruned)
+		} else {
+			// Each level's verdict set, not the order within the level.
+			slices.SortStableFunc(records, func(a, b analysis.StreamVerdict) int {
+				return cmp.Or(cmp.Compare(a.Size, b.Size), slices.Compare(a.Programs, b.Programs))
+			})
+			d.pin("stream %s records=%v", opts.Mode, renderVerdicts(records))
+			d.pin("stream %s emitted=%d checked=%d pruned=%d cores=%d terminated=%v reason=%q topk=%v",
+				opts.Mode, sum.Emitted, sum.Checked, sum.Pruned, sum.Cores, sum.Terminated, sum.Reason, sum.TopK)
+		}
 		if sum.Report != nil {
 			r := sum.Report
 			d.pin("stream %s report robust=%v maximal=%v checked=%d pruned=%d cores=%d certified=%d",
@@ -181,6 +200,14 @@ func nameSortedFacts(facts []analysis.CoreFact) []analysis.CoreFact {
 	}
 	sort.SliceStable(facts, func(i, j int) bool { return key(facts[i]) < key(facts[j]) })
 	return facts
+}
+
+func renderVerdicts(vs []analysis.StreamVerdict) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprintf("%v/%d/%v/%s", v.Programs, v.Size, v.Robust, v.DecidedBy)
+	}
+	return out
 }
 
 func renderFacts(facts []analysis.CoreFact) string {

@@ -7,9 +7,11 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 	"unsafe"
 
 	"repro/internal/btp"
+	"repro/internal/obs"
 	"repro/internal/summary"
 )
 
@@ -359,8 +361,9 @@ func sameSet(a, b []*btp.Program) bool {
 }
 
 // universeGraph returns the memoized universe graph for the exact program
-// selection, composing (and caching) it on first use; the collecting walk
-// decides every subset on it with Graph.RobustWitness. Verdicts never
+// selection, composing (and caching) it on first use; every walk, streams
+// included, decides its detector misses on it with Graph.RobustWitness and
+// asks for it only on its first miss. Verdicts never
 // depend on cache contents, so a straggler using a just-invalidated graph
 // is correct, merely cold next time.
 func (s *Session) universeGraph(ctx context.Context, cfg Config, programs []*btp.Program, all []*btp.LTP) (*summary.Graph, error) {
@@ -371,9 +374,16 @@ func (s *Session) universeGraph(ctx context.Context, cfg Config, programs []*btp
 		return e.g, nil
 	}
 	s.mu.Unlock()
+	var t0 time.Time
+	if cfg.Tracer != nil {
+		t0 = time.Now()
+	}
 	g, err := summary.ComposeCtx(ctx, s.Blocks(cfg.Setting), all, 0)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Tracer != nil {
+		cfg.Tracer.Span(obs.PhaseCompose, time.Since(t0))
 	}
 	s.mu.Lock()
 	if !s.retiredAny(programs) {

@@ -7,10 +7,9 @@
 // enumeration learns: minimal non-robust cores and robust covers, kept as
 // program sets (lattice.go). One lattice walk (walk.go) then enumerates
 // the subsets: the cores and covers inside its selection decide most of
-// them by containment, and the rest run only the cycle detection — on the
-// selection's memoized universe graph, or on a subset graph
-// summary.Compose assembles from cached blocks — fanned out over a bounded
-// worker pool.
+// them by containment, and the rest run only the cycle detection on the
+// selection's memoized universe graph — composed from cached blocks by
+// the walk's first detector miss — fanned out over a bounded worker pool.
 //
 // The naive path (re-unfold and re-run Algorithm 1 from scratch for every
 // subset) is retained in internal/robust as the oracle for equivalence
@@ -143,11 +142,6 @@ type Session struct {
 	// robust by the cover scan, a miss ran the detector; subsetsPruned is
 	// the sum of both hit kinds (detector runs skipped).
 	coreHits, coverHits, coreMisses, subsetsPruned atomic.Uint64
-	// Cost-ordered scheduler telemetry (streaming enumerations): of the
-	// detector-run masks a level's schedule placed in its first half,
-	// schedHits were non-robust — the fraction is the scheduler's hit rate
-	// (how often "looks conflict-dense" predicted "mints a core").
-	schedChecked, schedHits atomic.Uint64
 }
 
 // NewSession creates an empty session over the schema.
@@ -343,12 +337,6 @@ type CoreStats struct {
 	// that ran the detector. Pruned = Hits + CoverHits (detector runs
 	// skipped) — the quantity the wire reports as subsets_pruned.
 	Hits, CoverHits, Misses, Pruned uint64
-	// SchedChecked counts detector-run masks the streaming scheduler placed
-	// in the first half of their level's visit order; SchedHits counts how
-	// many of those were non-robust. SchedHits/SchedChecked is the
-	// scheduler's hit rate: how often "estimated conflict-dense" predicted
-	// "mints a core".
-	SchedChecked, SchedHits uint64
 	// SizeBytes estimates the core and cover stores' resident memory.
 	SizeBytes int64
 }
@@ -389,12 +377,10 @@ func (s *Session) Stats() Stats {
 		Unfoldings: len(s.unfolded),
 		Settings:   len(s.blocks),
 		Cores: CoreStats{
-			Hits:         s.coreHits.Load(),
-			CoverHits:    s.coverHits.Load(),
-			Misses:       s.coreMisses.Load(),
-			Pruned:       s.subsetsPruned.Load(),
-			SchedChecked: s.schedChecked.Load(),
-			SchedHits:    s.schedHits.Load(),
+			Hits:      s.coreHits.Load(),
+			CoverHits: s.coverHits.Load(),
+			Misses:    s.coreMisses.Load(),
+			Pruned:    s.subsetsPruned.Load(),
 		},
 	}
 	st.Cores.Cores, st.Cores.Covers, st.Cores.Certified, st.Cores.SizeBytes = s.factStoresLocked()

@@ -12,13 +12,12 @@ import (
 // RobustSubsetsStream runs the same walk as RobustSubsetsCtx — identical
 // pruning invariants, identical verdicts — but emits each verdict through
 // a callback the moment its level decides it, instead of materializing the
-// full report after 2^n−1 decisions. A streaming walk composes detector
-// misses lazily and visits each level in the cost-ordered schedule of
-// sched.go, so interesting verdicts surface early; and it can stop early
-// (StreamMode): first_non_robust stops at the first non-robust verdict
-// (level order makes it a smallest one); all_maximal_robust and top_k stop
-// after the first level with no robust subset — monotonicity decides
-// everything above; a MaxSubsets budget caps emitted verdicts in any mode.
+// full report after 2^n−1 decisions; visit order and detector are the
+// collecting walk's. It can stop early (StreamMode): first_non_robust
+// stops at the first non-robust verdict (level order makes it a smallest
+// one); all_maximal_robust and top_k stop after the first level with no
+// robust subset — monotonicity decides everything above; a MaxSubsets
+// budget caps emitted verdicts in any mode.
 // Terminated walks still merge their minted cores into the session fact
 // store, but fold covers and assemble a report only when their robust
 // knowledge is complete.
@@ -118,16 +117,12 @@ type StreamSummary struct {
 	Report *SubsetReport
 	// TopK lists the K largest robust subsets for StreamTopK.
 	TopK []Subset
-	// SchedChecked/SchedHits are this run's scheduler telemetry: of the
-	// detector-run masks placed in the first half of their level's visit
-	// order, how many were non-robust.
-	SchedChecked, SchedHits uint64
 }
 
 // RobustSubsetsStream is the streaming form of RobustSubsetsCtx: the same
 // lattice walk over the same per-selection pruning state, emitting every
 // verdict through the callback as soon as its level decides it, in
-// cost-ordered (descending estimated conflict) visit order. A callback
+// ascending mask order within each level. A callback
 // error aborts the walk and is returned — the server maps a client
 // disconnect onto exactly that. Early-termination modes (StreamOptions)
 // stop the walk without an error; the summary says why. Cores minted

@@ -36,8 +36,9 @@ func collectStream(t *testing.T, bench *benchmarks.Benchmark, cfg analysis.Confi
 // full stream must (a) emit exactly the 2^n − 1 subsets, (b) emit verdicts
 // that agree subset-by-subset with the monolithic report, (c) assemble a
 // summary report identical to RobustSubsetsCtx including the Checked/Pruned
-// split, and (d) emit in an order independent of the worker count — the
-// emission order is the deterministic cost-ordered schedule, not a race.
+// split, and (d) emit level by level in ascending mask order (bit i for
+// the i-th program) at every worker count — the order the collecting walk
+// visits, not a race.
 func TestStreamMatchesMonolithic(t *testing.T) {
 	for _, bench := range fixedBenchmarks() {
 		for _, setting := range summary.AllSettings {
@@ -52,7 +53,6 @@ func TestStreamMatchesMonolithic(t *testing.T) {
 					robustByKey[s.String()] = true
 				}
 
-				var baseOrder []analysis.StreamVerdict
 				for _, par := range []int{1, 8} {
 					cfg := analysis.Config{Setting: setting, Parallelism: par}
 					got, sum := collectStream(t, bench, cfg, analysis.StreamOptions{})
@@ -79,14 +79,32 @@ func TestStreamMatchesMonolithic(t *testing.T) {
 						t.Errorf("par=%d: checked/pruned %d/%d, monolithic %d/%d",
 							par, sum.Report.Checked, sum.Report.Pruned, mono.Checked, mono.Pruned)
 					}
-					if baseOrder == nil {
-						baseOrder = got
-					} else if !reflect.DeepEqual(got, baseOrder) {
-						t.Errorf("par=%d: emission order differs from par=1", par)
-					}
+					checkAscending(t, fmt.Sprintf("par=%d", par), bench.Programs, got)
 				}
 			})
 		}
+	}
+}
+
+// checkAscending asserts the stream's emission order: ascending sizes and,
+// within a level, ascending program masks (bit i for programs[i]).
+func checkAscending(t *testing.T, name string, programs []*btp.Program, got []analysis.StreamVerdict) {
+	t.Helper()
+	index := make(map[string]int, len(programs))
+	for i, p := range programs {
+		index[p.ShortName()] = i
+	}
+	prevSize, prevMask := 0, 0
+	for _, v := range got {
+		mask := 0
+		for _, name := range v.Programs {
+			mask |= 1 << index[name]
+		}
+		if v.Size < prevSize || v.Size == prevSize && mask <= prevMask {
+			t.Errorf("%s: %v (mask %#x, size %d) emitted after mask %#x of size %d, want ascending sizes and, within a level, ascending masks",
+				name, v.Programs, mask, v.Size, prevMask, prevSize)
+		}
+		prevSize, prevMask = v.Size, mask
 	}
 }
 

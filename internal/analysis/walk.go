@@ -3,7 +3,6 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -42,20 +41,13 @@ import (
 // inserts them at the level barrier: workers only read the antichains, and
 // no lock or atomic guards them.
 //
-// The walk takes its detector from the call shape; both run the one cycle
-// search of summary.Graph. A collecting walk (no verdict callback:
-// RobustSubsetsCtx) decides misses on the selection's memoized universe
-// graph — every ordered pair composed once, each verdict a
-// Graph.RobustWitness query over the subset's node mask — and visits each
-// level in ascending mask order. A streaming walk composes each miss's own
-// subset graph lazily over the shared BlockSet, so the first verdict costs
-// one program's pairs rather than the universe's, and visits each level in
-// the cost-ordered schedule of sched.go. Each source loses on the other's
-// traffic — lazy composition repeats per-subset block lookups the universe
-// graph pays once, and the universe graph composes every pair before the
-// first verdict — so both stay, behind one walk. The composed subset graph
-// is exactly the universe graph induced on the subset's nodes, so the two
-// sources agree verdict for verdict and witness for witness.
+// Every walk, collecting (RobustSubsetsCtx) or streaming
+// (RobustSubsetsStream), visits each level in ascending mask order and has
+// one detector: Graph.RobustWitness over the subset's node mask on the
+// selection's memoized universe graph. The first detector miss fetches or
+// composes that graph, so a walk that containment decides entirely — a
+// warm session, or one seeded from restored facts — composes nothing; a
+// cold stream's first detector verdict waits for the compose.
 
 // MaxSubsetPrograms is the largest program selection a subset enumeration
 // accepts: the lattice has 2^n − 1 subsets, so 20 programs is already a
@@ -105,19 +97,18 @@ type walker struct {
 	discovered    bool
 
 	// decided is the per-mask decision table (d* values); levels holds the
-	// current level's masks in visit order.
+	// current level's masks in ascending order.
 	decided []uint8
 	levels  []int32
 	workers []walkWorker
 
-	// Detector source: a collecting walk sets universe; a streaming walk
-	// sets bs, groups and ltpIdx (witness edge endpoints → universe
-	// positions) and orders each level with sched.
-	universe *summary.Graph
-	bs       *summary.BlockSet
-	groups   [][]*btp.LTP
-	ltpIdx   map[*btp.LTP]int32
-	sched    *schedule
+	// The detector's graph over all (the selection's LTPs in program
+	// order), fetched or composed from sess under once by the first miss.
+	sess        *Session
+	all         []*btp.LTP
+	once        sync.Once
+	universe    *summary.Graph
+	universeErr error
 
 	// emit is the verdict callback; nil for a collecting walk. start anchors
 	// the first_verdict span when the config carries a tracer; emittedFirst
@@ -135,15 +126,13 @@ type walker struct {
 }
 
 // walkWorker is one worker's reusable buffers and counters, kept across
-// levels; the detector scratch, membership bitset, LTP list and witness
-// mask are allocated on the first detector run, so a fully warm walk
-// allocates none of them. found holds the cores the worker minted in the
-// current level until the level barrier inserts them.
+// levels; the detector scratch and membership bitset are allocated on the
+// worker's first detector run, so a fully warm walk allocates neither.
+// found holds the cores the worker minted in the current level until the
+// level barrier inserts them.
 type walkWorker struct {
 	members []uint64
 	scratch *summary.DetectScratch
-	ltps    []*btp.LTP
-	wmask   []uint64
 	found   []uint32
 
 	coreHits, coverHits, misses int
@@ -175,37 +164,21 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 	words := (len(all) + 63) / 64
 	widest := binomial(n, n/2)
 	w := &walker{
-		cfg:      cfg,
-		programs: programs,
-		n:        n,
-		words:    words,
-		covers:   antichain{up: true},
-		decided:  make([]uint8, 1<<n),
-		levels:   make([]int32, 0, widest),
-		workers:  make([]walkWorker, max(1, min(cfg.parallelism(), widest))),
-		opts:     opts,
-		emit:     emit,
+		cfg:         cfg,
+		programs:    programs,
+		programMask: programMasks(groups, words),
+		n:           n,
+		words:       words,
+		covers:      antichain{up: true},
+		decided:     make([]uint8, 1<<n),
+		levels:      make([]int32, 0, widest),
+		workers:     make([]walkWorker, max(1, min(cfg.parallelism(), widest))),
+		sess:        s,
+		all:         all,
+		opts:        opts,
+		emit:        emit,
+		start:       t0,
 	}
-	if emit == nil {
-		if w.universe, err = s.universeGraph(ctx, cfg, programs, all); err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			tr.Span(obs.PhaseCompose, time.Since(t0))
-		}
-	} else {
-		w.bs = s.Blocks(cfg.Setting)
-		w.groups = groups
-		w.ltpIdx = make(map[*btp.LTP]int32, len(all))
-		for i, l := range all {
-			w.ltpIdx[l] = int32(i)
-		}
-		w.sched = newSchedule(n)
-		if tr != nil {
-			w.start = time.Now()
-		}
-	}
-	w.programMask = programMasks(groups, words)
 	k := coreKey{setting: cfg.Setting, method: cfg.Method, bound: cfg.bound()}
 	s.seedWalk(k, programs, &w.cores, &w.covers)
 
@@ -232,8 +205,6 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 	s.coverHits.Add(uint64(coverHits))
 	s.coreMisses.Add(uint64(misses))
 	s.subsetsPruned.Add(uint64(coreHits + coverHits))
-	s.schedChecked.Add(w.sum.SchedChecked)
-	s.schedHits.Add(w.sum.SchedHits)
 	if w.discovered {
 		s.mergeWalk(k, programs, &w.cores, &w.covers)
 	}
@@ -252,9 +223,9 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 	return &w.sum, nil
 }
 
-// walk runs the level loop: list the level's masks (cost-ordered when
-// streaming), decide them sequentially or on the worker pool, emit in
-// visit order, and evaluate termination at the level barrier.
+// walk runs the level loop: list the level's masks in ascending order,
+// decide them sequentially or on the worker pool, emit in that order, and
+// evaluate termination at the level barrier.
 func (w *walker) walk(ctx context.Context) error {
 	for level := 1; level <= w.n; level++ {
 		var levelStart time.Time
@@ -263,11 +234,6 @@ func (w *walker) walk(ctx context.Context) error {
 		}
 		masks := levelMasks(w.levels, w.n, level)
 		w.levels = masks
-		if w.sched != nil {
-			// Re-estimated before every level: pairs composed by the
-			// previous level's detector misses sharpen this level's order.
-			w.sched.order(masks, w.bs, w.groups)
-		}
 		lw := min(len(w.workers), len(masks))
 		if len(masks) < latticeParallelMin {
 			lw = 1
@@ -284,14 +250,13 @@ func (w *walker) walk(ctx context.Context) error {
 					return err
 				}
 				if stop, err := w.emitMask(int(mask)); stop || err != nil {
-					w.recordSched(masks)
 					return err
 				}
 			}
 		} else {
 			// Parallel: the level is decided by the worker pool first (the
 			// level barrier needs every verdict anyway), then emitted in
-			// visit order — the same emission sequence the sequential walk
+			// mask order — the same emission sequence the sequential walk
 			// produces.
 			if err := w.decideParallel(ctx, masks, lw); err != nil {
 				return err
@@ -301,12 +266,10 @@ func (w *walker) walk(ctx context.Context) error {
 					continue // skipped by a first_non_robust bail
 				}
 				if stop, err := w.emitMask(int(mask)); stop || err != nil {
-					w.recordSched(masks)
 					return err
 				}
 			}
 		}
-		w.recordSched(masks)
 		// The level barrier: supersets are only examined once every smaller
 		// mask's verdict (and core) is published. It is the pruning's
 		// determinism and completeness argument, so it must not be elided.
@@ -423,62 +386,31 @@ func (w *walker) publish() {
 	}
 }
 
-// detect runs the walk's detector on one miss and returns the verdict
-// plus, when non-robust, the witness cycle's node mask. The universe graph
-// answers over the subset's node mask; the streaming source composes the
-// subset's own graph from the BlockSet.
+// detect decides one miss on the selection's universe graph and returns
+// the verdict plus, when non-robust, the witness cycle's node mask.
 func (w *walker) detect(ctx context.Context, mask int, ws *walkWorker) (bool, []uint64, error) {
+	// Workers of a parallel level that miss first together wait for the
+	// one fetch or compose.
+	w.once.Do(func() { w.universe, w.universeErr = w.sess.universeGraph(ctx, w.cfg, w.programs, w.all) })
+	if w.universeErr != nil {
+		return false, nil, w.universeErr
+	}
+	g := w.universe
+	if ws.scratch == nil {
+		ws.scratch = g.NewScratch()
+		ws.members = make([]uint64, w.words)
+	}
+	w.fillMembers(ws.members, mask)
 	tr := w.cfg.Tracer
 	var t0 time.Time
-	if w.universe != nil {
-		if ws.scratch == nil {
-			ws.scratch = w.universe.NewScratch()
-			ws.members = make([]uint64, w.words)
-		}
-		w.fillMembers(ws.members, mask)
-		if tr != nil {
-			t0 = time.Now()
-		}
-		ok, wmask := w.universe.RobustWitness(w.cfg.Method, ws.members, ws.scratch)
-		if tr != nil {
-			tr.Span(obs.PhaseDetect, time.Since(t0))
-		}
-		return ok, wmask, nil
-	}
-	ws.ltps = ws.ltps[:0]
-	for i := 0; i < w.n; i++ {
-		if mask&(1<<i) != 0 {
-			ws.ltps = append(ws.ltps, w.groups[i]...)
-		}
-	}
 	if tr != nil {
 		t0 = time.Now()
 	}
-	g, err := summary.ComposeCtx(ctx, w.bs, ws.ltps, 0)
-	if err != nil {
-		return false, nil, err
-	}
-	if tr != nil {
-		tr.Span(obs.PhaseCompose, time.Since(t0))
-		t0 = time.Now()
-	}
-	ok, wit := g.Robust(w.cfg.Method)
+	ok, wmask := g.RobustWitness(w.cfg.Method, ws.members, ws.scratch)
 	if tr != nil {
 		tr.Span(obs.PhaseDetect, time.Since(t0))
 	}
-	if ok {
-		return true, nil, nil
-	}
-	if ws.wmask == nil {
-		ws.wmask = make([]uint64, w.words)
-	}
-	clear(ws.wmask)
-	for _, e := range wit.Cycle {
-		fi, ti := w.ltpIdx[e.From], w.ltpIdx[e.To]
-		ws.wmask[fi/64] |= 1 << (uint(fi) % 64)
-		ws.wmask[ti/64] |= 1 << (uint(ti) % 64)
-	}
-	return false, ws.wmask, nil
+	return ok, wmask, nil
 }
 
 // fillMembers writes the node mask of the subset mask's programs.
@@ -530,34 +462,6 @@ func (w *walker) emitMask(mask int) (stop bool, err error) {
 	return false, nil
 }
 
-// recordSched accumulates a streaming level's scheduler telemetry: of the
-// detector-run masks in the first half of the visit order, how many were
-// non-robust. Levels with fewer than two detector runs carry no ordering
-// signal and are skipped, as are collecting walks (no schedule).
-func (w *walker) recordSched(masks []int32) {
-	if w.sched == nil {
-		return
-	}
-	det := 0
-	for _, mask := range masks {
-		if d := w.decided[mask]; d == dRobust || d == dNonRobust {
-			det++
-		}
-	}
-	if det < 2 {
-		return
-	}
-	for _, mask := range masks[:len(masks)/2] {
-		switch w.decided[mask] {
-		case dRobust:
-			w.sum.SchedChecked++
-		case dNonRobust:
-			w.sum.SchedChecked++
-			w.sum.SchedHits++
-		}
-	}
-}
-
 // foldCovers folds the walk's detector-decided robust verdicts into the
 // cover set, largest masks first: maximal covers insert, everything they
 // dominate is refused by an early-exit scan.
@@ -588,27 +492,6 @@ func (w *walker) report() *SubsetReport {
 	rep.Cores = w.sum.Cores
 	rep.CertifiedCores = w.cores.certifiedLen()
 	return rep
-}
-
-// schedule is a streaming walk's cost-ordering state (sched.go), reused
-// across levels. static memoizes the footprint priors for the whole walk
-// (they cannot change); NaN marks a pair not yet computed.
-type schedule struct {
-	static, weights, scores []float64
-}
-
-func newSchedule(n int) *schedule {
-	sc := &schedule{static: make([]float64, n*n)}
-	for i := range sc.static {
-		sc.static[i] = math.NaN()
-	}
-	return sc
-}
-
-// order sorts one level's masks in place into the cost-ordered visit order.
-func (sc *schedule) order(masks []int32, bs *summary.BlockSet, groups [][]*btp.LTP) {
-	sc.weights = pairWeights(sc.weights, bs, groups, sc.static)
-	sc.scores = orderLevel(masks, sc.scores, len(groups), sc.weights)
 }
 
 // levelMasks fills dst with the size-k subset masks of an n-program

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/benchmarks"
 	"repro/internal/btp"
+	"repro/internal/obs"
 	"repro/internal/relschema"
 	"repro/internal/robust"
 	"repro/internal/summary"
@@ -22,11 +24,10 @@ import (
 //
 //   - RobustSubsetsCtx must equal the naive per-subset oracle on the
 //     robust and maximal sets;
-//   - a full streaming walk (lazy composition, cost-ordered levels) must
-//     report exactly what the collecting walk (universe graph,
-//     ascending levels) reports — Checked, Pruned, Cores and
-//     CertifiedCores included — both on cold sessions and on sessions
-//     seeded with a certified core.
+//   - a full streaming walk (the same walk with a verdict callback) on a
+//     fresh session must report exactly what the collecting walk reports
+//     — Checked, Pruned, Cores and CertifiedCores included — both on cold
+//     sessions and on sessions seeded with a certified core.
 //
 // A second sweep takes the first eight-program workloads the generator
 // produces: their level of C(8,4) = 70 masks runs on the worker pool, so
@@ -55,6 +56,65 @@ func TestWalkRandomWorkloads(t *testing.T) {
 			found++
 			sweep(seed, w, 4)
 		}
+	}
+}
+
+// TestWalkFirstMissOnParallelLevel: a walk whose first detector miss lands
+// on a level the worker pool decides composes the universe graph once,
+// however many workers miss together, and streams what a cold walk
+// reports, in ascending mask order. Imported facts decide levels 1–3 of
+// Auction(4)'s eight programs, so the first misses are among level 4's 70
+// masks.
+func TestWalkFirstMissOnParallelLevel(t *testing.T) {
+	bench := benchmarks.AuctionN(4)
+	cfg := analysis.Config{Parallelism: 8}
+	cold := analysis.NewSession(bench.Schema)
+	want, err := cold.RobustSubsets(bench.Programs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var covers, cores []analysis.CoreFact
+	for _, s := range want.Robust {
+		if len(s) <= 3 {
+			covers = append(covers, analysis.CoreFact{Setting: cfg.Setting, Method: cfg.Method, Programs: selectPrograms(t, bench, s)})
+		}
+	}
+	for _, f := range cold.ExportCores() {
+		if len(f.Programs) <= 3 {
+			cores = append(cores, f)
+		}
+	}
+	sess := analysis.NewSession(bench.Schema)
+	sess.ImportCovers(covers)
+	sess.ImportCores(cores)
+
+	rec := obs.NewSpanRecorder()
+	cfg.Tracer = rec
+	var got []analysis.StreamVerdict
+	detected := 0
+	sum, err := sess.RobustSubsetsStream(context.Background(), bench.Programs, cfg, analysis.StreamOptions{},
+		func(v analysis.StreamVerdict) error {
+			if v.DecidedBy == analysis.DecidedDetector {
+				if v.Size <= 3 {
+					t.Errorf("%v ran the detector below level 4", v.Programs)
+				}
+				detected++
+			}
+			got = append(got, v)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAscending(t, "seeded stream", bench.Programs, got)
+	if detected == 0 {
+		t.Fatal("no detector run: the fixture no longer reaches a parallel first miss")
+	}
+	if !reflect.DeepEqual(sum.Report.Robust, want.Robust) || !reflect.DeepEqual(sum.Report.Maximal, want.Maximal) {
+		t.Errorf("seeded stream diverges from the cold walk\nstream: %v\ncold:   %v", sum.Report.Robust, want.Robust)
+	}
+	if got := phaseMap(rec.Snapshot())[obs.PhaseCompose].Count; got != 1 {
+		t.Errorf("%d compose spans, want the first miss's one", got)
 	}
 }
 

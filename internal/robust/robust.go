@@ -141,8 +141,8 @@ func (c *Checker) RobustSubsetsCtx(ctx context.Context, programs []*btp.Program)
 }
 
 // RobustSubsetsStream is the streaming form of RobustSubsetsCtx: the same
-// lattice walk, emitting each subset verdict through the
-// callback as its level decides it, in cost-ordered visit order, with
+// lattice walk, emitting each subset verdict through the callback as its
+// level decides it, in ascending subset-mask order within each level, with
 // optional early termination (see analysis.StreamOptions). A full stream's
 // summary report is identical to RobustSubsetsCtx's.
 func (c *Checker) RobustSubsetsStream(ctx context.Context, programs []*btp.Program, opts analysis.StreamOptions, emit func(analysis.StreamVerdict) error) (*analysis.StreamSummary, error) {

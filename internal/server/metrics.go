@@ -127,8 +127,6 @@ func (m *metrics) collect() {
 		c.Cores.Misses += w.Cores.Misses
 		c.Cores.SubsetsPruned += w.Cores.SubsetsPruned
 		c.Cores.SizeBytes += w.Cores.SizeBytes
-		c.Cores.SchedChecked += w.Cores.SchedChecked
-		c.Cores.SchedHits += w.Cores.SchedHits
 		r.Entries += ws.ResultCache.Entries
 		r.Hits += ws.ResultCache.Hits
 		r.Misses += ws.ResultCache.Misses
@@ -294,12 +292,6 @@ func newMetrics(s *Server) *metrics {
 	r.CounterFunc("mvrc_subsets_pruned_total",
 		"Detector runs skipped by containment (core hits + cover hits).",
 		func() float64 { return float64(m.snap().cache.Cores.SubsetsPruned) })
-	r.CounterFunc("mvrc_sched_checked_total",
-		"Detector-run subsets placed in the first half of their level's schedule.",
-		func() float64 { return float64(m.snap().cache.Cores.SchedChecked) })
-	r.CounterFunc("mvrc_sched_hits_total",
-		"Front-loaded detector runs that were non-robust (scheduler wins).",
-		func() float64 { return float64(m.snap().cache.Cores.SchedHits) })
 	r.GaugeFunc("mvrc_result_cache_entries", "Cached subsets responses.",
 		func() float64 { return float64(m.snap().results.Entries) })
 	r.CounterFunc("mvrc_result_cache_hits_total", "Result-cache hits (stored-bytes replays).",

@@ -126,10 +126,10 @@ func TestMetricsCoversStatsCounters(t *testing.T) {
 		"mvrc_session_programs", "mvrc_session_unfoldings",
 		"mvrc_block_cache_pairs", "mvrc_block_cache_hits_total",
 		"mvrc_block_cache_misses_total", "mvrc_block_cache_invalidated_total",
-		// Core store block (subsets_pruned, sched_hits and friends).
+		// Core store block (subsets_pruned and friends).
 		"mvrc_core_store_cores", "mvrc_core_store_covers", "mvrc_core_store_size_bytes",
 		"mvrc_core_hits_total", "mvrc_cover_hits_total", "mvrc_core_misses_total",
-		"mvrc_subsets_pruned_total", "mvrc_sched_checked_total", "mvrc_sched_hits_total",
+		"mvrc_subsets_pruned_total",
 		// Result cache block.
 		"mvrc_result_cache_entries", "mvrc_result_cache_hits_total",
 		"mvrc_result_cache_misses_total", "mvrc_result_cache_invalidated_total",
@@ -535,8 +535,6 @@ func TestStatsMetricsParity(t *testing.T) {
 		cache.Cores.Misses += ws.Cache.Cores.Misses
 		cache.Cores.SubsetsPruned += ws.Cache.Cores.SubsetsPruned
 		cache.Cores.SizeBytes += ws.Cache.Cores.SizeBytes
-		cache.Cores.SchedChecked += ws.Cache.Cores.SchedChecked
-		cache.Cores.SchedHits += ws.Cache.Cores.SchedHits
 		results.Entries += ws.ResultCache.Entries
 		results.Hits += ws.ResultCache.Hits
 		results.Misses += ws.ResultCache.Misses
@@ -578,8 +576,6 @@ func TestStatsMetricsParity(t *testing.T) {
 		"mvrc_cover_hits_total":                    float64(cache.Cores.CoverHits),
 		"mvrc_core_misses_total":                   float64(cache.Cores.Misses),
 		"mvrc_subsets_pruned_total":                float64(cache.Cores.SubsetsPruned),
-		"mvrc_sched_checked_total":                 float64(cache.Cores.SchedChecked),
-		"mvrc_sched_hits_total":                    float64(cache.Cores.SchedHits),
 		"mvrc_result_cache_entries":                float64(results.Entries),
 		"mvrc_result_cache_hits_total":             float64(results.Hits),
 		"mvrc_result_cache_misses_total":           float64(results.Misses),

@@ -443,6 +443,19 @@ func TestCoresPersistAcrossRestart(t *testing.T) {
 	if wsStream.Cache.Misses != 0 {
 		t.Errorf("post-restart stream computed %d block pairs, want 0", wsStream.Cache.Misses)
 	}
+	// So does a collecting walk that bypasses the result cache: a walk
+	// composes its universe graph only on a detector miss.
+	var timed wire.SubsetsResponse
+	if resp, raw := doJSON(t, http.MethodPost, ts2.URL+"/v1/workloads/"+id+"/subsets?debug=timings", nil, &timed); resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-restart timed subsets: %d\n%s", resp.StatusCode, raw)
+	}
+	if timed.SubsetsPruned != 31 {
+		t.Errorf("post-restart timed subsets pruned %d, want 31", timed.SubsetsPruned)
+	}
+	doJSON(t, http.MethodGet, ts2.URL+"/v1/workloads/"+id, nil, &wsStream)
+	if wsStream.Cache.Misses != 0 {
+		t.Errorf("post-restart timed subsets computed %d block pairs, want 0", wsStream.Cache.Misses)
+	}
 
 	// A fresh enumeration over a program selection the result cache has
 	// never seen: the seeded cores covering that selection prune without a
@@ -461,6 +474,53 @@ func TestCoresPersistAcrossRestart(t *testing.T) {
 	doJSON(t, http.MethodGet, ts2.URL+"/v1/workloads/"+id, nil, &wsAfter)
 	if wsAfter.Cache.Cores.Cores < wsBoot.Cache.Cores.Cores {
 		t.Errorf("core store shrank across an enumeration: %d -> %d", wsBoot.Cache.Cores.Cores, wsAfter.Cache.Cores.Cores)
+	}
+}
+
+// TestWalksPersistOnlyNewFacts: a walk can add facts only when its
+// detector ran. Warm streams, which containment decides entirely, queue no
+// snapshot write; a timed /subsets (which bypasses the result cache, so
+// caches nothing) over a cold setting queues the facts it minted, and they
+// decide that setting's lattice after a restart.
+func TestWalksPersistOnlyNewFacts(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts := newTestServer(t, Options{StateDir: dir, FlushInterval: time.Hour})
+	id := registerSmallBank(t, ts)
+	if resp, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/subsets", nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("subsets failed")
+	}
+	s1.Flush()
+	if got := s1.persists.Load(); got != 2 {
+		t.Fatalf("register + flushed subsets wrote %d snapshots, want 2", got)
+	}
+	for i := 0; i < 3; i++ {
+		_, sum, _ := streamLines(t, http.MethodGet, ts.URL+"/v1/workloads/"+id+"/subsets:stream?mode=first_non_robust", nil)
+		if sum.Checked != 0 {
+			t.Fatalf("warm stream %d ran the detector %d times", i, sum.Checked)
+		}
+		s1.Flush()
+	}
+	if got := s1.persists.Load(); got != 2 {
+		t.Errorf("three warm streams wrote %d snapshots, want none", got-2)
+	}
+
+	var timed wire.SubsetsResponse
+	if resp, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/subsets?debug=timings",
+		&wire.CheckRequest{Setting: "tpl"}, &timed); resp.StatusCode != http.StatusOK {
+		t.Fatalf("timed subsets: %d\n%s", resp.StatusCode, raw)
+	}
+	if timed.SubsetsPruned == 31 {
+		t.Fatal("timed subsets over a cold setting ran no detector")
+	}
+	s1.Flush()
+	if got := s1.persists.Load(); got != 3 {
+		t.Errorf("timed subsets over a cold setting: %d snapshots after its flush, want 3", got)
+	}
+
+	_, ts2 := newTestServer(t, Options{StateDir: dir})
+	_, sum, _ := streamLines(t, http.MethodGet, ts2.URL+"/v1/workloads/"+id+"/subsets:stream?setting=tpl", nil)
+	if sum.Checked != 0 || sum.SubsetsPruned != 31 {
+		t.Errorf("post-restart tpl stream checked %d / pruned %d, want 0 / 31", sum.Checked, sum.SubsetsPruned)
 	}
 }
 

@@ -1105,6 +1105,11 @@ func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
 		s.subsets.Add(1)
 		w.subsets.Add(1)
 		w.lastParallelism.Store(int64(effectiveParallelism(cfg.Parallelism)))
+		// Nothing is cached, but the facts a detector run minted are new:
+		// queue them for the debounced flusher.
+		if rep.Checked > 0 {
+			s.markDirty(w)
+		}
 		resp := wire.NewSubsetsResponse(cfg, programs, rep)
 		resp.Timings = wire.NewPhaseTimings(recorder.Snapshot())
 		rw.Header().Set("X-Workload-Version", fmt.Sprint(version))

@@ -163,9 +163,11 @@ func (s *Server) handleSubsetsStream(rw http.ResponseWriter, r *http.Request) {
 	s.streamed.Add(1)
 	w.subsets.Add(1)
 	w.lastParallelism.Store(int64(effectiveParallelism(cfg.Parallelism)))
-	// Whatever happened, cores minted before the exit are in the session
-	// store now; queue the workload so the debounced flusher persists them.
-	s.markDirty(w)
+	// Only a detector run can mint a fact; queue what one minted, however
+	// the walk ended, for the debounced flusher.
+	if err != nil || sum.Checked > 0 {
+		s.markDirty(w)
+	}
 	if err != nil {
 		// A dead client never sees this line; a live one (engine error,
 		// e.g. an unknown program after a racing PATCH) gets the uniform

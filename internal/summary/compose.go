@@ -189,27 +189,6 @@ func (bs *BlockSet) PairEdges(pi, pj *btp.LTP) []Edge {
 	return edges
 }
 
-// CachedPairStats reports the cached edge block of the ordered pair — its
-// edge count and how many of those edges are counterflow — without
-// computing a missing block (ok is false then). The cost-ordered lattice
-// scheduler reads these to estimate a subset's conflict density; a pure
-// read keeps the estimate free of the very composition work the schedule
-// is trying to order.
-func (bs *BlockSet) CachedPairStats(pi, pj *btp.LTP) (edges, counterflow int, ok bool) {
-	bs.mu.RLock()
-	blk, ok := bs.blocks[ltpPair{pi, pj}]
-	bs.mu.RUnlock()
-	if !ok {
-		return 0, 0, false
-	}
-	for _, e := range blk {
-		if e.Class == Counterflow {
-			counterflow++
-		}
-	}
-	return len(blk), counterflow, true
-}
-
 // Ensure precomputes the blocks of every ordered pair over the given LTPs,
 // so that subsequent Compose calls over subsets of them are pure cache
 // reads.

@@ -668,12 +668,6 @@ type CoreSetStats struct {
 	Misses         uint64 `json:"misses"`
 	SubsetsPruned  uint64 `json:"subsets_pruned"`
 	SizeBytes      int64  `json:"size_bytes"`
-	// SchedChecked/SchedHits rate the streaming enumeration's cost-ordered
-	// scheduler: of the detector-run subsets the scheduler placed in the
-	// first half of their level's visit order, SchedHits were non-robust —
-	// the verdicts worth front-loading.
-	SchedChecked uint64 `json:"sched_checked"`
-	SchedHits    uint64 `json:"sched_hits"`
 }
 
 // NewCacheStats converts a session snapshot to its wire form.
@@ -695,8 +689,6 @@ func NewCacheStats(st analysis.Stats) CacheStats {
 			Misses:         st.Cores.Misses,
 			SubsetsPruned:  st.Cores.Pruned,
 			SizeBytes:      st.Cores.SizeBytes,
-			SchedChecked:   st.Cores.SchedChecked,
-			SchedHits:      st.Cores.SchedHits,
 		},
 	}
 }

@@ -252,13 +252,12 @@ func RobustSubsetsOptions(schema *Schema, programs []*Program, opts Options) (*S
 }
 
 // RobustSubsetsStream is the streaming form of RobustSubsets: the same
-// lattice-pruned enumeration emits each verdict through the callback the
-// moment its level decides it — subsets are composed lazily, so the first
-// verdict arrives long before the universe graph would have been built —
-// visiting each level in descending estimated-conflict order, with
-// optional early termination (first non-robust subset, maximal robust
-// sets only, top-k, or an emitted-subset budget; see StreamOptions). A
-// full stream's summary carries a report identical to RobustSubsets.
+// lattice-pruned enumeration, on the same universe graph, emits each
+// verdict through the callback the moment its level decides it, visiting
+// each level in ascending subset-mask order, with optional early
+// termination (first non-robust subset, maximal robust sets only, top-k,
+// or an emitted-subset budget; see StreamOptions). A full stream's
+// summary carries a report identical to RobustSubsets.
 func RobustSubsetsStream(ctx context.Context, schema *Schema, programs []*Program, opts Options, sopts StreamOptions, emit func(StreamVerdict) error) (*StreamSummary, error) {
 	return analysis.NewSession(schema).RobustSubsetsStream(ctx, programs, opts, sopts, emit)
 }
