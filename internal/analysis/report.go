@@ -1,7 +1,9 @@
 package analysis
 
 import (
-	"sort"
+	"context"
+	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -75,81 +77,75 @@ func (r *SubsetReport) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// NewSubsetReport assembles a report from the robust subsets of one
-// enumeration: it sorts them (smallest first, then lexicographic) and
-// derives the maximal ones. Both the engine and the naive oracle build
-// their reports through this function, so any divergence between the two
-// paths is a divergence in per-subset verdicts.
+// NewSubsetReport assembles the report of one enumeration from its
+// robust-by-mask table: robust(mask) is the verdict of the subset whose
+// bit i stands for names[i], for every mask in [1, 2^n). The lattice walk
+// and the naive oracle both build their reports here, so any divergence
+// between the two paths is a divergence in per-subset verdicts.
 //
-// Maximality is derived by bitmask containment when the subsets span at
-// most 64 distinct names (always true for the engine, which caps
-// programs at MaxSubsetPrograms) — the O(R²) scan then costs word operations
-// instead of a map per pair; the name-set path is kept for wider inputs.
-func NewSubsetReport(robust []Subset) *SubsetReport {
-	report := &SubsetReport{Robust: robust}
-	sortSubsets(report.Robust)
-	idx := make(map[string]int, 24)
-	for _, s := range report.Robust {
-		for _, n := range s {
-			if _, ok := idx[n]; !ok {
-				idx[n] = len(idx)
-			}
-		}
+// Robustness is downward closed, so a robust subset is maximal exactly when
+// none of its one-larger supersets is robust: at most n lookups per robust
+// subset, O(n·2^n) in all. The subsets are visited in report order, level
+// by level, and the context is polled at least once per level, so a
+// deadline also stops a wide assembly.
+func NewSubsetReport(ctx context.Context, names []string, robust func(mask uint32) bool) (*SubsetReport, error) {
+	n := len(names)
+	if n > MaxSubsetPrograms {
+		return nil, fmt.Errorf("analysis: subset report over %d programs exceeds the limit of %d", n, MaxSubsetPrograms)
 	}
-	isMaximal := func(i int) bool {
-		s := report.Robust[i]
-		for _, t := range report.Robust {
-			if len(t) > len(s) && t.ContainsAll(s) {
+	// A key numbers a subset's bits by name: bit n−1−r stands for the name
+	// of rank r, so within one size descending keys are ascending names.
+	byName := make([]int, n)
+	for i := range byName {
+		byName[i] = i
+	}
+	slices.SortStableFunc(byName, func(a, b int) int { return strings.Compare(names[a], names[b]) })
+	maximal := func(mask uint32) bool {
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) == 0 && robust(mask|1<<i) {
 				return false
 			}
 		}
 		return true
 	}
-	if len(idx) <= 64 {
-		masks := make([]uint64, len(report.Robust))
-		for i, s := range report.Robust {
-			for _, n := range s {
-				masks[i] |= 1 << idx[n]
-			}
-		}
-		isMaximal = func(i int) bool {
-			for j, t := range report.Robust {
-				if len(t) > len(report.Robust[i]) && masks[i]&^masks[j] == 0 {
-					return false
+	report := &SubsetReport{}
+	level := make([]int32, 0, binomial(n, n/2))
+	for size := 1; size <= n; size++ {
+		level = levelMasks(level, n, size)
+		for j := len(level) - 1; j >= 0; j-- {
+			if j%reportPollEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
 			}
-			return true
+			key := uint32(level[j])
+			var mask uint32
+			for r, i := range byName {
+				if key&(1<<(n-1-r)) != 0 {
+					mask |= 1 << i
+				}
+			}
+			if !robust(mask) {
+				continue
+			}
+			s := make(Subset, 0, size)
+			for r, i := range byName {
+				if key&(1<<(n-1-r)) != 0 {
+					s = append(s, names[i])
+				}
+			}
+			report.Robust = append(report.Robust, s)
+			if maximal(mask) {
+				report.Maximal = append(report.Maximal, s)
+			}
 		}
 	}
-	for i := range report.Robust {
-		if isMaximal(i) {
-			report.Maximal = append(report.Maximal, report.Robust[i])
-		}
-	}
-	// Report largest maximal subsets first, as the paper does.
-	sort.SliceStable(report.Maximal, func(i, j int) bool {
-		if len(report.Maximal[i]) != len(report.Maximal[j]) {
-			return len(report.Maximal[i]) > len(report.Maximal[j])
-		}
-		return less(report.Maximal[i], report.Maximal[j])
-	})
-	return report
+	// Report largest maximal subsets first, as the paper does; within a
+	// size they stay in name order.
+	slices.SortStableFunc(report.Maximal, func(a, b Subset) int { return len(b) - len(a) })
+	return report, nil
 }
 
-func sortSubsets(subsets []Subset) {
-	sort.SliceStable(subsets, func(i, j int) bool {
-		if len(subsets[i]) != len(subsets[j]) {
-			return len(subsets[i]) < len(subsets[j])
-		}
-		return less(subsets[i], subsets[j])
-	})
-}
-
-func less(a, b Subset) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
+// reportPollEvery is how many masks NewSubsetReport visits between
+// context polls.
+const reportPollEvery = 4096

@@ -23,16 +23,23 @@ func fixedBenchmarks() []*benchmarks.Benchmark {
 	}
 }
 
+// wideBenchmarks are Auction(4)–(6): 8, 10 and 12 programs, whose widest
+// lattice levels (70, 252 and 924 masks) the walk decides on its worker
+// pool.
+func wideBenchmarks() []*benchmarks.Benchmark {
+	return []*benchmarks.Benchmark{benchmarks.AuctionN(4), benchmarks.AuctionN(5), benchmarks.AuctionN(6)}
+}
+
 // methods lists both cycle conditions.
 var methods = []summary.Method{summary.TypeII, summary.TypeI}
 
 // TestEngineEquivalenceRobustSubsets is the engine's ground-truth test:
-// for every fixed benchmark under all four settings and both methods, the
-// composed-graph parallel enumeration must produce a report byte-identical
-// to the naive per-subset oracle (re-validate, re-unfold, re-run
-// Algorithm 1 for each of the 2^n − 1 subsets).
+// for every fixed and wide benchmark under all four settings and both
+// methods, the composed-graph parallel enumeration must produce a report
+// byte-identical to the naive per-subset oracle (re-validate, re-unfold,
+// re-run Algorithm 1 for each of the 2^n − 1 subsets).
 func TestEngineEquivalenceRobustSubsets(t *testing.T) {
-	for _, bench := range fixedBenchmarks() {
+	for _, bench := range append(fixedBenchmarks(), wideBenchmarks()...) {
 		// One shared session per benchmark across all 8 cells, as the
 		// experiments suite uses it — cross-setting cache pollution would
 		// show up here.

@@ -32,15 +32,15 @@ func collectStream(t *testing.T, bench *benchmarks.Benchmark, cfg analysis.Confi
 }
 
 // TestStreamMatchesMonolithic is the streaming ground-truth test: for every
-// fixed benchmark × all four settings × sequential and parallel levels, a
-// full stream must (a) emit exactly the 2^n − 1 subsets, (b) emit verdicts
-// that agree subset-by-subset with the monolithic report, (c) assemble a
-// summary report identical to RobustSubsetsCtx including the Checked/Pruned
-// split, and (d) emit level by level in ascending mask order (bit i for
-// the i-th program) at every worker count — the order the collecting walk
-// visits, not a race.
+// fixed and wide benchmark × all four settings × sequential and parallel
+// levels, a full stream must (a) emit exactly the 2^n − 1 subsets, (b)
+// emit verdicts that agree subset-by-subset with the monolithic report,
+// (c) assemble a summary report identical to RobustSubsetsCtx including
+// the Checked/Pruned split, and (d) emit level by level in ascending mask
+// order (bit i for the i-th program) at every worker count — the order the
+// collecting walk visits, not a race.
 func TestStreamMatchesMonolithic(t *testing.T) {
-	for _, bench := range fixedBenchmarks() {
+	for _, bench := range append(fixedBenchmarks(), wideBenchmarks()...) {
 		for _, setting := range summary.AllSettings {
 			t.Run(fmt.Sprintf("%s/%s", bench.Name, setting), func(t *testing.T) {
 				mono, err := analysis.NewSession(bench.Schema).RobustSubsets(
@@ -112,87 +112,84 @@ func checkAscending(t *testing.T, name string, programs []*btp.Program, got []an
 // non-robust verdict of the full stream's deterministic emission order —
 // the emitted sequence is a strict prefix of the full stream's, everything
 // before the last verdict is robust, and by level order the terminal subset
-// is a smallest non-robust one.
+// is a smallest non-robust one. A selection with no non-robust subset (the
+// wide benchmarks under foreign keys) streams to completion, through levels
+// the worker pool decides, in the full stream's order.
 func TestStreamFirstNonRobust(t *testing.T) {
-	bench := benchmarks.SmallBank()
-	cfg := analysis.Config{Parallelism: 1}
-	full, _ := collectStream(t, bench, cfg, analysis.StreamOptions{})
-	firstNR := -1
-	for i, v := range full {
-		if !v.Robust {
-			firstNR = i
-			break
-		}
+	type streamCase struct {
+		bench *benchmarks.Benchmark
+		cfg   analysis.Config
 	}
-	if firstNR < 0 {
-		t.Fatal("SmallBank's full lattice has no non-robust subset — the fixture is broken")
+	cases := []streamCase{{benchmarks.SmallBank(), analysis.Config{}}}
+	for _, bench := range wideBenchmarks() {
+		cases = append(cases, streamCase{bench, analysis.DefaultConfig()})
 	}
-
-	for _, par := range []int{1, 8} {
-		cfg := analysis.Config{Parallelism: par}
-		got, sum := collectStream(t, bench, cfg, analysis.StreamOptions{Mode: analysis.StreamFirstNonRobust})
-		if !sum.Terminated || sum.Reason != analysis.ReasonFirstNonRobust {
-			t.Fatalf("par=%d: terminated=%t reason=%q", par, sum.Terminated, sum.Reason)
-		}
-		if !reflect.DeepEqual(got, full[:firstNR+1]) {
-			t.Errorf("par=%d: emitted sequence is not the full stream's prefix up to the first non-robust verdict:\ngot:  %v\nwant: %v",
-				par, got, full[:firstNR+1])
-		}
-		last := got[len(got)-1]
-		for _, v := range full {
-			if !v.Robust && v.Size < last.Size {
-				t.Errorf("par=%d: terminal subset %v (size %d) is not a smallest non-robust one (%v is smaller)",
-					par, last.Programs, last.Size, v.Programs)
-			}
-		}
-		if sum.Report != nil {
-			t.Errorf("par=%d: early-terminated stream carries a report", par)
-		}
-	}
-
-	// A selection with no non-robust subset streams to completion: any
-	// maximal robust subset of the full report works as the selection.
-	mono, err := analysis.NewSession(bench.Schema).RobustSubsets(bench.Programs, analysis.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	robustSel := mono.Maximal[0]
-	programs := selectPrograms(t, bench, robustSel)
-	var emitted int
-	sum, err := analysis.NewSession(bench.Schema).RobustSubsetsStream(
-		context.Background(), programs, analysis.Config{},
-		analysis.StreamOptions{Mode: analysis.StreamFirstNonRobust},
-		func(v analysis.StreamVerdict) error {
+	for _, c := range cases {
+		cfg := c.cfg
+		cfg.Parallelism = 1
+		full, _ := collectStream(t, c.bench, cfg, analysis.StreamOptions{})
+		want, stops := full, false
+		for i, v := range full {
 			if !v.Robust {
-				t.Errorf("robust selection emitted non-robust %v", v.Programs)
+				want, stops = full[:i+1], true
+				break
 			}
-			emitted++
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Terminated || emitted != (1<<len(programs))-1 {
-		t.Errorf("robust selection: terminated=%t emitted=%d want %d", sum.Terminated, emitted, (1<<len(programs))-1)
+		}
+		for _, par := range []int{1, 8} {
+			cfg.Parallelism = par
+			name := fmt.Sprintf("%s par=%d", c.bench.Name, par)
+			got, sum := collectStream(t, c.bench, cfg, analysis.StreamOptions{Mode: analysis.StreamFirstNonRobust})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: emitted sequence is not the full stream's prefix up to the first non-robust verdict:\ngot:  %v\nwant: %v",
+					name, got, want)
+				continue
+			}
+			if !stops {
+				if sum.Terminated || sum.Report == nil {
+					t.Errorf("%s: robust selection terminated=%t report=%v, want a complete stream", name, sum.Terminated, sum.Report)
+				}
+				continue
+			}
+			if !sum.Terminated || sum.Reason != analysis.ReasonFirstNonRobust {
+				t.Fatalf("%s: terminated=%t reason=%q", name, sum.Terminated, sum.Reason)
+			}
+			last := got[len(got)-1]
+			for _, v := range full {
+				if !v.Robust && v.Size < last.Size {
+					t.Errorf("%s: terminal subset %v (size %d) is not a smallest non-robust one (%v is smaller)",
+						name, last.Programs, last.Size, v.Programs)
+				}
+			}
+			if sum.Report != nil {
+				t.Errorf("%s: early-terminated stream carries a report", name)
+			}
+		}
 	}
 }
 
-// TestStreamMaximalRobustAndTopK: both modes emit only robust verdicts and
-// still recover the exact maximal-robust answer; top_k additionally ranks
-// the K largest robust subsets. The oracle is the monolithic report.
+// TestStreamMaximalRobustAndTopK: both modes emit only robust verdicts, in
+// the full stream's order, and still recover the exact maximal-robust
+// answer; top_k additionally ranks the K largest robust subsets. The
+// oracle is the monolithic report.
 func TestStreamMaximalRobustAndTopK(t *testing.T) {
-	for _, bench := range fixedBenchmarks() {
+	for _, bench := range append(fixedBenchmarks(), wideBenchmarks()...) {
 		mono, err := analysis.NewSession(bench.Schema).RobustSubsets(bench.Programs, analysis.Config{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
+		full, _ := collectStream(t, bench, analysis.Config{Parallelism: 1}, analysis.StreamOptions{})
+		var robustFull []analysis.StreamVerdict
+		for _, v := range full {
+			if v.Robust {
+				robustFull = append(robustFull, v)
+			}
+		}
 		for _, par := range []int{1, 8} {
 			cfg := analysis.Config{Parallelism: par}
 			got, sum := collectStream(t, bench, cfg, analysis.StreamOptions{Mode: analysis.StreamMaximalRobust})
-			for _, v := range got {
-				if !v.Robust {
-					t.Errorf("%s par=%d: maximal-robust mode emitted non-robust %v", bench.Name, par, v.Programs)
-				}
+			if !reflect.DeepEqual(got, robustFull) {
+				t.Errorf("%s par=%d: maximal-robust mode emitted %d verdicts, not the full stream's %d robust ones in order",
+					bench.Name, par, len(got), len(robustFull))
 			}
 			if len(got) != len(mono.Robust) {
 				t.Errorf("%s par=%d: emitted %d robust subsets, monolithic has %d", bench.Name, par, len(got), len(mono.Robust))
@@ -281,33 +278,42 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 }
 
 // TestStreamContextCancel: cancelling the request context mid-stream stops
-// the walk with the context's error; no further verdicts are emitted after
-// the cancel and the detector does not finish the lattice.
+// the walk with the context's error; the verdicts emitted before the cancel
+// are the full stream's prefix, none follows it, and the detector does not
+// finish the lattice. The wide benchmarks cancel halfway through the
+// lattice, inside a level the worker pool decides at Parallelism 8.
 func TestStreamContextCancel(t *testing.T) {
-	bench := benchmarks.SmallBank()
-	for _, par := range []int{1, 8} {
-		sess := analysis.NewSession(bench.Schema)
-		ctx, cancel := context.WithCancel(context.Background())
-		emitted := 0
-		_, err := sess.RobustSubsetsStream(ctx, bench.Programs,
-			analysis.Config{Parallelism: par}, analysis.StreamOptions{},
-			func(analysis.StreamVerdict) error {
-				emitted++
-				if emitted == 3 {
-					cancel()
-				}
-				return nil
-			})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("par=%d: err = %v, want context.Canceled", par, err)
-		}
+	for _, bench := range append([]*benchmarks.Benchmark{benchmarks.SmallBank()}, wideBenchmarks()...) {
 		total := (1 << len(bench.Programs)) - 1
-		if emitted >= total {
-			t.Errorf("par=%d: cancelled stream emitted the whole lattice (%d)", par, emitted)
+		cancelAt := 3
+		if len(bench.Programs) >= 8 {
+			cancelAt = total / 2
 		}
-		if misses := sess.Stats().Cores.Misses; misses >= uint64(total) {
-			t.Errorf("par=%d: cancelled stream ran the detector %d times", par, misses)
+		full, _ := collectStream(t, bench, analysis.Config{Parallelism: 1}, analysis.StreamOptions{})
+		for _, par := range []int{1, 8} {
+			name := fmt.Sprintf("%s par=%d", bench.Name, par)
+			sess := analysis.NewSession(bench.Schema)
+			ctx, cancel := context.WithCancel(context.Background())
+			var got []analysis.StreamVerdict
+			_, err := sess.RobustSubsetsStream(ctx, bench.Programs,
+				analysis.Config{Parallelism: par}, analysis.StreamOptions{},
+				func(v analysis.StreamVerdict) error {
+					got = append(got, v)
+					if len(got) == cancelAt {
+						cancel()
+					}
+					return nil
+				})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+			}
+			if len(got) != cancelAt || !reflect.DeepEqual(got, full[:cancelAt]) {
+				t.Errorf("%s: emitted %d verdicts, want the full stream's first %d", name, len(got), cancelAt)
+			}
+			if misses := sess.Stats().Cores.Misses; misses >= uint64(total) {
+				t.Errorf("%s: cancelled stream ran the detector %d times", name, misses)
+			}
 		}
 	}
 }

@@ -136,7 +136,7 @@ func TestTracerPhasesStream(t *testing.T) {
 // one Checker (AllocsPerRun's warm-up run caches its blocks and seeds its
 // cores and covers), pruned-cold enumerates on a fresh Checker per run.
 // AllocsPerRun measures at GOMAXPROCS 1, so the counts are deterministic
-// (42 warm, 209 cold); each bound is the count plus one, and catches any
+// (35 warm, 202 cold); each bound is the count plus one, and catches any
 // per-span, per-level or per-subset allocation leaking past the
 // nil-tracer branch. The warm walk is decided by containment alone, so it
 // never looks up the universe-graph memo.
@@ -151,9 +151,9 @@ func TestNilTracerZeroAllocOverhead(t *testing.T) {
 	for _, setting := range summary.AllSettings {
 		warm := robust.NewChecker(bench.Schema)
 		warm.Setting = setting
-		cases = append(cases, allocCase{"pruned/" + setting.String(), func() *robust.Checker { return warm }, 43})
+		cases = append(cases, allocCase{"pruned/" + setting.String(), func() *robust.Checker { return warm }, 36})
 	}
-	cases = append(cases, allocCase{"pruned-cold", func() *robust.Checker { return robust.NewChecker(bench.Schema) }, 210})
+	cases = append(cases, allocCase{"pruned-cold", func() *robust.Checker { return robust.NewChecker(bench.Schema) }, 203})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(10, func() {

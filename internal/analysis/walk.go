@@ -215,7 +215,9 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 	w.sum.Pruned = coreHits + coverHits
 	w.sum.Cores = len(w.cores.facts)
 	if complete {
-		w.sum.Report = w.report()
+		if w.sum.Report, err = w.report(ctx); err != nil {
+			return nil, err
+		}
 		if opts.Mode == StreamTopK {
 			w.sum.TopK = topKBySize(w.sum.Report.Robust, opts.K)
 		}
@@ -262,6 +264,9 @@ func (w *walker) walk(ctx context.Context) error {
 				return err
 			}
 			for _, mask := range masks {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 				if w.decided[mask] == dUndecided {
 					continue // skipped by a first_non_robust bail
 				}
@@ -276,9 +281,6 @@ func (w *walker) walk(ctx context.Context) error {
 		w.publish()
 		if tr := w.cfg.Tracer; tr != nil {
 			tr.Span(obs.PhaseLatticeLevel, time.Since(levelStart))
-		}
-		if err := ctx.Err(); err != nil {
-			return err
 		}
 		if w.opts.Mode == StreamMaximalRobust || w.opts.Mode == StreamTopK {
 			robustInLevel := false
@@ -476,22 +478,22 @@ func (w *walker) foldCovers() {
 	}
 }
 
-// report builds the deterministic report from the decision table in
-// ascending mask order — the order the naive oracle visits — with the
-// walk's pruning telemetry.
-func (w *walker) report() *SubsetReport {
-	var robust []Subset
-	for mask := 1; mask < len(w.decided); mask++ {
-		if robustDecision(w.decided[mask]) {
-			robust = append(robust, subsetNames(w.programs, mask))
-		}
+// report assembles the report from the decision table, with the walk's
+// pruning telemetry.
+func (w *walker) report(ctx context.Context) (*SubsetReport, error) {
+	names := make([]string, w.n)
+	for i, p := range w.programs {
+		names[i] = p.ShortName()
 	}
-	rep := NewSubsetReport(robust)
+	rep, err := NewSubsetReport(ctx, names, func(mask uint32) bool { return robustDecision(w.decided[mask]) })
+	if err != nil {
+		return nil, err
+	}
 	rep.Checked = w.sum.Checked
 	rep.Pruned = w.sum.Pruned
 	rep.Cores = w.sum.Cores
 	rep.CertifiedCores = w.cores.certifiedLen()
-	return rep
+	return rep, nil
 }
 
 // levelMasks fills dst with the size-k subset masks of an n-program

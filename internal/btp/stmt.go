@@ -11,7 +11,6 @@ package btp
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/relschema"
 )
@@ -349,12 +348,4 @@ type FKConstraint struct {
 // String renders the annotation in the paper's "q_j = f(q_i)" form.
 func (c FKConstraint) String() string {
 	return fmt.Sprintf("%s = %s(%s)", c.Dst.Name, c.FK, c.Src.Name)
-}
-
-func joinStmtNames(qs []*Stmt) string {
-	names := make([]string, len(qs))
-	for i, q := range qs {
-		names[i] = q.Name
-	}
-	return strings.Join(names, "; ")
 }

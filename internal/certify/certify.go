@@ -187,9 +187,9 @@ func witness(ctx context.Context, sess *analysis.Session, cfg analysis.Config, w
 	out := &Result{Status: Unrealized, Core: coreNames(w)}
 
 	// Candidate derivation: both instantiation strategies at the cycle's
-	// own multiplicity and widened by one extra instance per distinct
-	// program (single-edge cycles often need the second instance — e.g.
-	// two WriteChecks racing on one customer). Witnesses from an FK-less
+	// own multiplicity, and the canonical one widened by one extra
+	// instance per distinct program (single-edge cycles often need the
+	// second instance — e.g. two WriteChecks racing on one customer). Witnesses from an FK-less
 	// analysis setting must be realized over the same overapproximated
 	// space, so the annotations are ignored exactly when the setting
 	// ignored them.

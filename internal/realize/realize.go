@@ -28,6 +28,7 @@ package realize
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/btp"
 	"repro/internal/enumerate"
@@ -140,17 +141,20 @@ func Witness(s *relschema.Schema, w *summary.Witness, opts Options) (*Result, er
 }
 
 // witnessLTPs lists the LTP instances a witness cycle demands: one per
-// cycle edge, plus (optionally) one extra per distinct program.
+// cycle edge, plus (optionally) one extra per distinct LTP. The extras
+// follow the cycle's first-seen order, so the instance order — which the
+// search tries transactions in and the population names tuples by — is the
+// same on every call.
 func witnessLTPs(w *summary.Witness, extra bool) []*btp.LTP {
-	var ltps []*btp.LTP
-	seen := map[*btp.LTP]int{}
+	ltps := make([]*btp.LTP, 0, 2*len(w.Cycle))
 	for _, e := range w.Cycle {
 		ltps = append(ltps, e.From)
-		seen[e.From]++
 	}
 	if extra {
-		for l := range seen {
-			ltps = append(ltps, l)
+		for i, l := range ltps[:len(w.Cycle)] {
+			if !slices.Contains(ltps[:i], l) {
+				ltps = append(ltps, l)
+			}
 		}
 	}
 	return ltps
@@ -194,10 +198,13 @@ type Candidate struct {
 
 // CandidateSets derives every instantiation candidate for a witness without
 // searching: the canonical population over the cycle's LTP multiset
-// (widened by ExtraInstances when set) and the witness-guided assignment.
-// Strategies whose instantiation fails are reported in the error list and
-// skipped; an empty candidate list with a non-empty error list means the
-// witness admits no instantiation under these options.
+// (widened by ExtraInstances when set) and, without ExtraInstances, the
+// witness-guided assignment. The guided assignment is one instance per
+// cycle edge whatever the options say, so with ExtraInstances it would only
+// repeat the unwidened list and its search. Strategies whose instantiation
+// fails are reported in the error list and skipped; an empty candidate list
+// with a non-empty error list means the witness admits no instantiation
+// under these options.
 func CandidateSets(s *relschema.Schema, w *summary.Witness, opts Options) ([]Candidate, []error) {
 	if w == nil || len(w.Cycle) == 0 {
 		return nil, []error{fmt.Errorf("realize: empty witness")}
@@ -208,6 +215,9 @@ func CandidateSets(s *relschema.Schema, w *summary.Witness, opts Options) ([]Can
 		errs = append(errs, fmt.Errorf("canonical instantiation inapplicable: %w", err))
 	} else {
 		cands = append(cands, Candidate{Name: "canonical", Instances: insts})
+	}
+	if opts.ExtraInstances {
+		return cands, errs
 	}
 	if guided, err := guidedAssignments(s, w, opts.IgnoreFKs); err != nil {
 		errs = append(errs, fmt.Errorf("guided instantiation inapplicable: %w", err))

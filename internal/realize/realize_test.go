@@ -1,6 +1,8 @@
 package realize
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/benchmarks"
@@ -220,5 +222,50 @@ func TestRealizeRejectsEmptyWitness(t *testing.T) {
 	}
 	if _, err := Witness(b.Schema, &summary.Witness{}, Options{}); err == nil {
 		t.Fatal("empty witness accepted")
+	}
+}
+
+// TestCandidateSetsDeterministic: the +extra instances follow the witness
+// cycle, not map iteration, so repeated derivations over one witness list
+// the same candidates — instance order, tuple names and FK valuation — and
+// the guided assignment only without ExtraInstances, where it differs from
+// the widened canonical list.
+func TestCandidateSetsDeterministic(t *testing.T) {
+	b := benchmarks.SmallBank()
+	w := witnessFor(t, b, summary.SettingAttrDepFK, "Amalgamate", "Balance")
+	distinct := map[*btp.LTP]bool{}
+	for _, e := range w.Cycle {
+		distinct[e.From] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("witness %v has %d distinct LTPs, want at least 2", w, len(distinct))
+	}
+	for _, extra := range []bool{false, true} {
+		render := func() string {
+			cands, errs := realizeCandidates(t, b, w, Options{ExtraInstances: extra})
+			var out strings.Builder
+			for _, c := range cands {
+				fmt.Fprintf(&out, "%s:", c.Name)
+				for _, inst := range c.Instances {
+					fmt.Fprintf(&out, " %s{", inst.LTP.Name)
+					for _, occ := range inst.LTP.Stmts {
+						fmt.Fprintf(&out, "%s=%s%v ", occ.Stmt.Name, inst.Assignment.Key[occ], inst.Assignment.Pred[occ])
+					}
+					fmt.Fprintf(&out, "fk=%v}", inst.Assignment.FK)
+				}
+				out.WriteString("\n")
+			}
+			fmt.Fprintf(&out, "errs=%v", errs)
+			return out.String()
+		}
+		first := render()
+		if extra == strings.Contains(first, "guided:") {
+			t.Errorf("extra=%t: guided candidate present=%t, want %t\n%s", extra, extra, !extra, first)
+		}
+		for i := 1; i < 40; i++ {
+			if got := render(); got != first {
+				t.Fatalf("extra=%t: derivation %d differs from the first\ngot:\n%s\nfirst:\n%s", extra, i, got, first)
+			}
+		}
 	}
 }

@@ -18,7 +18,6 @@ package robust
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/analysis"
@@ -172,7 +171,7 @@ func (c *Checker) NaiveRobustSubsets(programs []*btp.Program) (*SubsetReport, er
 	if n > analysis.MaxSubsetPrograms {
 		return nil, fmt.Errorf("robust: subset enumeration over %d programs exceeds the limit of %d", n, analysis.MaxSubsetPrograms)
 	}
-	var robustSubsets []Subset
+	robust := make([]bool, 1<<n)
 	for mask := 1; mask < 1<<n; mask++ {
 		var subset []*btp.Program
 		for i := 0; i < n; i++ {
@@ -184,14 +183,11 @@ func (c *Checker) NaiveRobustSubsets(programs []*btp.Program) (*SubsetReport, er
 		if err != nil {
 			return nil, err
 		}
-		if res.Robust {
-			names := make(Subset, len(subset))
-			for i, p := range subset {
-				names[i] = p.ShortName()
-			}
-			sort.Strings(names)
-			robustSubsets = append(robustSubsets, names)
-		}
+		robust[mask] = res.Robust
 	}
-	return analysis.NewSubsetReport(robustSubsets), nil
+	names := make([]string, n)
+	for i, p := range programs {
+		names[i] = p.ShortName()
+	}
+	return analysis.NewSubsetReport(context.TODO(), names, func(mask uint32) bool { return robust[mask] })
 }

@@ -206,9 +206,6 @@ func newMetrics(s *Server) *metrics {
 			"API requests by kind, as counted by /v1/stats.",
 			v.load, obs.Label{Key: "kind", Value: c.kind})
 	}
-	r.CounterFunc("mvrc_coalesced_requests_total",
-		"Subsets requests answered by piggybacking on an in-flight enumeration.",
-		counterOf(&s.coalesced).load)
 	r.CounterFunc("mvrc_streamed_requests_total",
 		"subsets:stream requests served.",
 		counterOf(&s.streamed).load)

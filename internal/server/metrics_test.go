@@ -111,7 +111,7 @@ func TestMetricsCoversStatsCounters(t *testing.T) {
 
 	families := []string{
 		// Requests block of /v1/stats.
-		"mvrc_api_requests_total", "mvrc_coalesced_requests_total",
+		"mvrc_api_requests_total",
 		"mvrc_streamed_requests_total", "mvrc_stream_early_terminations_total",
 		// Registry / eviction / persistence block.
 		"mvrc_workloads", "mvrc_workloads_size_bytes", "mvrc_max_bytes",
@@ -560,7 +560,6 @@ func TestStatsMetricsParity(t *testing.T) {
 		`mvrc_api_requests_total{kind="subsets"}`:  float64(st.Requests.Subsets),
 		`mvrc_api_requests_total{kind="certify"}`:  float64(st.Requests.Certify),
 		`mvrc_api_requests_total{kind="patch"}`:    float64(st.Requests.Patch),
-		"mvrc_coalesced_requests_total":            float64(st.Requests.Coalesced),
 		"mvrc_streamed_requests_total":             float64(st.Requests.Streamed),
 		"mvrc_stream_early_terminations_total":     float64(st.Requests.EarlyTerminations),
 		"mvrc_session_programs":                    float64(cache.Programs),

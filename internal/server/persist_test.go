@@ -600,7 +600,7 @@ func TestMaxBytesEvictionPinned(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once bool
-	s.testFlightHook = func() {
+	s.testSubsetsHook = func() {
 		if !once {
 			once = true
 			close(entered)

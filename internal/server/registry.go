@@ -55,11 +55,6 @@ type workload struct {
 
 	// results is the subsets result cache (see resultcache.go).
 	results *resultCache
-
-	// flight coalesces identical in-flight subset enumerations; see
-	// Server.subsetsCoalesced.
-	flightMu sync.Mutex
-	flight   map[string]*flightCall
 }
 
 // newWorkload builds a workload over the schema and programs (validated by
@@ -70,7 +65,6 @@ func newWorkload(schema *relschema.Schema, programs []*btp.Program) *workload {
 		schema:  schema,
 		sess:    analysis.NewSession(schema),
 		results: newResultCache(),
-		flight:  make(map[string]*flightCall),
 	}
 	w.installPrograms(programs)
 	return w
@@ -375,18 +369,6 @@ func importCoreGroups(programs []*btp.Program, groups []snapshot.CoreGroup, seed
 		}
 	}
 	return seed(facts)
-}
-
-// flightCall is one in-flight subset enumeration that identical concurrent
-// requests piggyback on. waiters counts requests currently blocked on it;
-// the last waiter to give up cancels the computation.
-type flightCall struct {
-	done    chan struct{}
-	resp    any
-	err     error
-	version uint64
-	waiters atomic.Int64
-	cancel  func()
 }
 
 // registry is the concurrency-safe workload table: fingerprint-keyed with

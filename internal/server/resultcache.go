@@ -9,11 +9,10 @@ import (
 )
 
 // resultCache memoizes complete subsets responses per workload, keyed by
-// the same (version, setting, method, bound, program selection) string the
-// in-flight coalescing uses — parallelism excluded, because it never
-// changes verdicts. It sits *above* the coalescing: a hit costs one map
-// lookup and a write of the stored bytes; a miss falls through to the
-// flight layer and stores the encoded response on success.
+// a (version, setting, method, bound, program selection) string —
+// parallelism excluded, because it never changes verdicts. A hit costs one
+// map lookup and a write of the stored bytes; a miss runs the enumeration
+// on the request and stores the encoded response on success.
 //
 // Invalidation is exactly the PATCH version bump: keys embed the workload
 // version, so after a patch no stale entry can ever be looked up again, and
@@ -63,8 +62,9 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// put stores a computed response, reporting whether it was inserted (a
-// coalesced follower racing the leader finds the entry already present).
+// put stores a computed response, reporting whether it was inserted (of
+// two identical misses running at once, the second finds the entry
+// already present).
 func (c *resultCache) put(key string, version uint64, body []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

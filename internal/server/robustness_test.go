@@ -24,7 +24,7 @@ import (
 
 // This file tests the robustness hardening of the server itself: admission
 // control (overload shedding with 429 + Retry-After), panic recovery in the
-// HTTP middleware and the coalesced-flight goroutine, the liveness/readiness
+// HTTP middleware, the liveness/readiness
 // split with drain semantics, and the degraded-persistence lifecycle under
 // injected filesystem faults (retry with backoff, degraded health, recovery,
 // and the shutdown flush's loss report).
@@ -71,7 +71,7 @@ func TestOverloadShedding(t *testing.T) {
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
-	s.testFlightHook = func() {
+	s.testSubsetsHook = func() {
 		close(started)
 		<-release
 	}
@@ -88,7 +88,7 @@ func TestOverloadShedding(t *testing.T) {
 		resp.Body.Close()
 		leader <- resp.StatusCode
 	}()
-	<-started // the only admission slot is now held by the blocked flight
+	<-started // the only admission slot is now held by the blocked enumeration
 
 	for _, probe := range []struct {
 		method, path string
@@ -175,16 +175,16 @@ func TestSubsetsRejectTooManyPrograms(t *testing.T) {
 	release()
 }
 
-// holdAdmission parks one subsets enumeration of workload id inside its
-// coalesced flight, holding an admission slot until the returned release
-// is called; release waits for the parked request to finish 200.
+// holdAdmission parks one subsets enumeration of workload id after
+// admission, holding its slot until the returned release is called;
+// release waits for the parked request to finish 200.
 func holdAdmission(t *testing.T, s *Server, ts *httptest.Server, id string) (release func()) {
 	t.Helper()
 	started := make(chan struct{})
 	unblock := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(unblock) }) })
-	s.testFlightHook = func() {
+	s.testSubsetsHook = func() {
 		close(started)
 		<-unblock
 	}
@@ -430,31 +430,36 @@ func TestHandlerPanicMidResponse(t *testing.T) {
 	}
 }
 
-// TestFlightPanicRecovery panics inside the coalesced-flight goroutine: the
-// waiting request must get a structured 500 (never hang on a closed-over
-// done channel), and the flight entry must be detached so the next identical
-// request starts a fresh, healthy enumeration.
-func TestFlightPanicRecovery(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
+// TestSubsetsPanicRecovery panics inside an admitted /subsets enumeration:
+// the request must get a structured 500 from the middleware, and the
+// admission slot and workload pin must be released on the way out, so the
+// next identical request runs a fresh, healthy enumeration.
+func TestSubsetsPanicRecovery(t *testing.T) {
+	s, ts := newTestServer(t, Options{MaxConcurrentChecks: 1})
 	id := registerSmallBank(t, ts)
-	s.testFlightHook = func() { panic("flight boom") }
+	s.testSubsetsHook = func() { panic("subsets boom") }
 
 	req := &wire.CheckRequest{Programs: []string{"Bal", "Am"}}
 	resp, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/subsets", req, nil)
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("flight panic: %d, want 500\n%s", resp.StatusCode, raw)
+		t.Fatalf("subsets panic: %d, want 500\n%s", resp.StatusCode, raw)
 	}
 	if e := decodeError(t, raw); e.Code != "panic" {
-		t.Errorf("flight panic body = %+v, want code \"panic\"", e)
+		t.Errorf("subsets panic body = %+v, want code \"panic\"", e)
 	}
 	if got := s.panics.Load(); got != 1 {
 		t.Errorf("panics counter = %d, want 1", got)
 	}
+	// The handler's deferred releases ran while the panic unwound, before
+	// the middleware wrote the 500.
+	if pins := s.reg.get(id).pins.Load(); pins != 0 {
+		t.Errorf("workload pins = %d after the panic, want 0", pins)
+	}
 
-	s.testFlightHook = nil
+	s.testSubsetsHook = nil
 	resp, raw = doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/subsets", req, nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retry after flight panic: %d, want 200 (stale flight entry?)\n%s", resp.StatusCode, raw)
+		t.Fatalf("retry after subsets panic: %d, want 200 (admission slot leaked?)\n%s", resp.StatusCode, raw)
 	}
 }
 

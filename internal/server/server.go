@@ -8,9 +8,9 @@
 // keyed registry with an LRU cap. PATCHing a single program performs
 // incremental re-analysis: only the changed program's ordered LTP pairs
 // are evicted from the block caches, so the next check recomputes those
-// pairs alone. Identical in-flight subset enumerations are coalesced, and
-// every analysis runs under the request context, so client disconnects and
-// server timeouts abort work mid-flight.
+// pairs alone. Every analysis, an uncached subset enumeration included,
+// runs on its request's goroutine under the request context, so client
+// disconnects and server timeouts abort work mid-flight.
 //
 // Three hardening layers make the service restartable and memory-governed
 // (see the "Persistence & result cache" section of docs/ARCHITECTURE.md):
@@ -63,7 +63,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -185,8 +184,8 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	// base outlives individual requests: coalesced enumerations run under
-	// it so the leader's disconnect does not abort followers' work.
+	// base outlives individual requests and stops the background flusher
+	// when Close cancels it.
 	base       context.Context
 	baseCancel context.CancelFunc
 
@@ -237,7 +236,7 @@ type Server struct {
 	// enforcement (see release).
 	lastEnforce atomic.Int64
 
-	registers, checks, subsets, patches, coalesced atomic.Uint64
+	registers, checks, subsets, patches atomic.Uint64
 	// streamed counts subsets:stream requests; earlyTerms the streams that
 	// stopped early by mode or budget (not client disconnects).
 	streamed, earlyTerms atomic.Uint64
@@ -256,10 +255,10 @@ type Server struct {
 	reqSeq    atomic.Uint64
 	reqPrefix string
 
-	// testFlightHook, when non-nil, runs inside the flight goroutine
-	// before the enumeration starts — a seam for deterministic
-	// coalescing tests.
-	testFlightHook func()
+	// testSubsetsHook, when non-nil, runs on an uncached /subsets request
+	// after admission, just before the enumeration — a seam for tests that
+	// hold or panic an admitted enumeration.
+	testSubsetsHook func()
 }
 
 // New creates a Server ready to serve its Handler.
@@ -564,10 +563,9 @@ func (s *Server) flushRound() (failed int) {
 // before the HTTP server stops accepting connections; ServeListener does.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close flushes pending snapshot writes and aborts any coalesced
-// enumerations still running in the background. It first waits for the
-// background flusher to finish its round and exit, so no snapshot op runs
-// after Close returns. The final flush is retried with short backoff; if
+// Close flushes pending snapshot writes. It first stops the background
+// flusher and waits for it to finish its round and exit, so no snapshot op
+// runs after Close returns. The final flush is retried with short backoff; if
 // dirty workloads still cannot be persisted the error says how many —
 // their cached results exist only in this process's memory, so callers
 // exiting afterwards should surface the loss (cmd/robustserved exits
@@ -1088,61 +1086,40 @@ func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.admitDone()
-	// A ?debug=timings request wants this run's spans, so it bypasses both
-	// the result cache (stored bytes would replay another run's document —
-	// and cached bodies must stay byte-identical, so the timings block is
-	// never stored) and the coalescing (a follower observes no spans). The
-	// enumeration runs under the request context like any uncached request.
-	if tracer, recorder := s.requestTracer(r); recorder != nil {
-		cfg.Tracer = tracer
-		ctx, cancel := s.requestCtx(r)
-		defer cancel()
-		rep, err := w.session().RobustSubsetsCtx(ctx, programs, cfg)
-		if err != nil {
-			s.analysisError(rw, r, err)
+	// A ?debug=timings request wants this run's spans, so it skips the
+	// result cache: stored bytes would replay another run's document, and
+	// cached bodies must stay byte-identical, so the timings block is never
+	// stored. Everything else is the same miss path.
+	tracer, recorder := s.requestTracer(r)
+	var key string
+	if recorder == nil {
+		// An identical enumeration already answered (same version,
+		// configuration and program selection — parallelism excluded, it
+		// never changes verdicts) is served from its stored bytes without
+		// touching the engine.
+		key = requestKey(version, cfg, programs)
+		if body, ok := w.results.get(key); ok {
+			s.countSubsets(w, cfg)
+			writeRaw(rw, version, body)
 			return
 		}
-		s.subsets.Add(1)
-		w.subsets.Add(1)
-		w.lastParallelism.Store(int64(effectiveParallelism(cfg.Parallelism)))
-		// Nothing is cached, but the facts a detector run minted are new:
-		// queue them for the debounced flusher.
-		if rep.Checked > 0 {
-			s.markDirty(w)
-		}
-		resp := wire.NewSubsetsResponse(cfg, programs, rep)
-		resp.Timings = wire.NewPhaseTimings(recorder.Snapshot())
-		rw.Header().Set("X-Workload-Version", fmt.Sprint(version))
-		writeJSON(rw, http.StatusOK, resp)
-		return
 	}
-	// The result cache sits above the in-flight coalescing: an identical
-	// enumeration already answered (same version, configuration and
-	// program selection — parallelism excluded, it never changes verdicts)
-	// is served from its stored bytes without touching the engine.
-	key := requestKey(version, cfg, programs)
-	if body, ok := w.results.get(key); ok {
-		s.subsets.Add(1)
-		w.subsets.Add(1)
-		w.lastParallelism.Store(int64(effectiveParallelism(cfg.Parallelism)))
-		writeRaw(rw, version, body)
-		return
-	}
-	// The coalesced leader runs with the shared metrics tracer: its spans
-	// land in the phase histogram (followers add none — no duplicate
-	// observations for one engine run).
-	tracer, _ := s.requestTracer(r)
 	cfg.Tracer = tracer
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	resp, respVersion, err := s.subsetsCoalesced(ctx, w, key, cfg, programs, version)
+	if s.testSubsetsHook != nil {
+		s.testSubsetsHook()
+	}
+	rep, err := w.session().RobustSubsetsCtx(ctx, programs, cfg)
 	if err != nil {
 		s.analysisError(rw, r, err)
 		return
 	}
-	s.subsets.Add(1)
-	w.subsets.Add(1)
-	w.lastParallelism.Store(int64(effectiveParallelism(cfg.Parallelism)))
+	s.countSubsets(w, cfg)
+	resp := wire.NewSubsetsResponse(cfg, programs, rep)
+	if recorder != nil {
+		resp.Timings = wire.NewPhaseTimings(recorder.Snapshot())
+	}
 	// Encode once: the same bytes go to this response, into the result
 	// cache and (via the snapshot) across restarts, so hits are
 	// byte-identical to the original answer by construction. The encode
@@ -1154,13 +1131,22 @@ func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusInternalServerError, err)
 		return
 	}
-	writeRaw(rw, respVersion, buf.Bytes())
-	// A new cached result only marks the workload dirty; the debounced
-	// flusher rewrites the snapshot file once per interval however many
-	// enumerations a burst caches, and never in the client's latency.
-	if w.results.put(key, respVersion, append([]byte(nil), buf.Bytes()...)) {
+	writeRaw(rw, version, buf.Bytes())
+	// A new cached result or new facts from a detector run only mark the
+	// workload dirty; the debounced flusher rewrites the snapshot file once
+	// per interval however many enumerations a burst answers, and never in
+	// the client's latency.
+	stored := recorder == nil && w.results.put(key, version, append([]byte(nil), buf.Bytes()...))
+	if stored || rep.Checked > 0 {
 		s.markDirty(w)
 	}
+}
+
+// countSubsets records one answered /subsets request.
+func (s *Server) countSubsets(w *workload, cfg analysis.Config) {
+	s.subsets.Add(1)
+	w.subsets.Add(1)
+	w.lastParallelism.Store(int64(effectiveParallelism(cfg.Parallelism)))
 }
 
 // enumerable rejects a subset enumeration over more than
@@ -1186,9 +1172,8 @@ func writeRaw(rw http.ResponseWriter, version uint64, body []byte) {
 	rw.Write(body)
 }
 
-// requestKey identifies one subset enumeration for both the in-flight
-// coalescing and the result cache: workload version, analysis
-// configuration and program selection.
+// requestKey identifies one subset enumeration in the result cache:
+// workload version, analysis configuration and program selection.
 func requestKey(version uint64, cfg analysis.Config, programs []*btp.Program) string {
 	names := make([]string, len(programs))
 	for i, p := range programs {
@@ -1197,90 +1182,6 @@ func requestKey(version uint64, cfg analysis.Config, programs []*btp.Program) st
 	return fmt.Sprintf("%d|%s|%s|%d|%s",
 		version, wire.SettingName(cfg.Setting), wire.MethodName(cfg.Method),
 		cfg.UnfoldBound, strings.Join(names, ","))
-}
-
-// subsetsCoalesced answers one subset enumeration, merging requests that
-// ask for the identical enumeration (same workload version, configuration
-// and program selection) while one is already in flight: followers block
-// on the leader's result instead of duplicating the exponential sweep. The
-// computation runs under the server's base context so a leader's
-// disconnect does not abort its followers; the last waiter to give up
-// cancels it.
-func (s *Server) subsetsCoalesced(ctx context.Context, w *workload, key string, cfg analysis.Config, programs []*btp.Program, version uint64) (*wire.SubsetsResponse, uint64, error) {
-	w.flightMu.Lock()
-	call, joined := w.flight[key]
-	if !joined {
-		var (
-			runCtx    context.Context
-			runCancel context.CancelFunc
-		)
-		if s.opts.RequestTimeout > 0 {
-			runCtx, runCancel = context.WithTimeout(s.base, s.opts.RequestTimeout)
-		} else {
-			runCtx, runCancel = context.WithCancel(s.base)
-		}
-		call = &flightCall{done: make(chan struct{}), version: version, cancel: runCancel}
-		w.flight[key] = call
-		go func() {
-			defer runCancel()
-			// The cleanup lives in the deferred recovery: a panic escaping
-			// the engine (or the test hook) must still detach the flight
-			// entry and close done, or every follower would block forever —
-			// and an unrecovered panic on this detached goroutine would
-			// kill the whole process.
-			defer func() {
-				if p := recover(); p != nil {
-					call.err = &analysis.PanicError{Value: p, Stack: debug.Stack()}
-				}
-				w.flightMu.Lock()
-				// The last waiter may have detached this call and a fresh
-				// leader re-registered the key; only remove our own entry.
-				if w.flight[key] == call {
-					delete(w.flight, key)
-				}
-				w.flightMu.Unlock()
-				close(call.done)
-			}()
-			if s.testFlightHook != nil {
-				s.testFlightHook()
-			}
-			rep, err := w.session().RobustSubsetsCtx(runCtx, programs, cfg)
-			if err != nil {
-				call.err = err
-			} else {
-				call.resp = wire.NewSubsetsResponse(cfg, programs, rep)
-			}
-		}()
-	} else {
-		s.coalesced.Add(1)
-	}
-	call.waiters.Add(1)
-	w.flightMu.Unlock()
-
-	select {
-	case <-call.done:
-		call.waiters.Add(-1)
-		if call.err != nil {
-			return nil, 0, call.err
-		}
-		return call.resp.(*wire.SubsetsResponse), call.version, nil
-	case <-ctx.Done():
-		// Deciding to cancel must be serialized with joins (which happen
-		// under flightMu): otherwise a request could join the flight just
-		// as its last waiter cancels it, and fail with the canceller's
-		// error despite a healthy connection. Detaching the entry first
-		// also ensures late arrivals start a fresh enumeration.
-		w.flightMu.Lock()
-		last := call.waiters.Add(-1) == 0
-		if last && w.flight[key] == call {
-			delete(w.flight, key)
-		}
-		w.flightMu.Unlock()
-		if last {
-			call.cancel()
-		}
-		return nil, 0, ctx.Err()
-	}
 }
 
 // handleCertify runs the certification pipeline for one program subset: a
@@ -1435,7 +1336,6 @@ func (s *Server) statsSnapshot() *wire.StatsResponse {
 			Subsets:           s.subsets.Load(),
 			Certify:           s.certifies.Load(),
 			Patch:             s.patches.Load(),
-			Coalesced:         s.coalesced.Load(),
 			Streamed:          s.streamed.Load(),
 			EarlyTerminations: s.earlyTerms.Load(),
 		},

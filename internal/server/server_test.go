@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/benchmarks"
 	"repro/internal/btp"
@@ -368,64 +367,6 @@ func TestLRUEviction(t *testing.T) {
 	doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &st)
 	if st.Workloads != 2 || st.Evictions != 1 {
 		t.Errorf("stats after eviction: workloads=%d evictions=%d", st.Workloads, st.Evictions)
-	}
-}
-
-// TestSubsetsCoalescing holds the leader's enumeration on a test seam,
-// fires a second identical request, and asserts it piggybacks on the
-// in-flight one (coalesced counter) yet both get the full answer.
-func TestSubsetsCoalescing(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
-	id := registerSmallBank(t, ts)
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once bool
-	s.testFlightHook = func() {
-		if !once { // only the first (leader) enumeration blocks
-			once = true
-			close(entered)
-			<-release
-		}
-	}
-
-	type result struct {
-		raw  []byte
-		code int
-	}
-	results := make(chan result, 2)
-	fire := func() {
-		resp, err := http.Post(ts.URL+"/v1/workloads/"+id+"/subsets", "application/json", nil)
-		if err != nil {
-			results <- result{nil, 0}
-			return
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		results <- result{raw, resp.StatusCode}
-	}
-	go fire()
-	<-entered // leader is in flight
-	go fire()
-	// The follower registers as a waiter before blocking; wait until the
-	// coalesced counter shows it joined, then release the leader.
-	for i := 0; s.coalesced.Load() == 0; i++ {
-		if i > 2000 {
-			t.Fatal("follower never joined the in-flight enumeration")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-
-	a, b := <-results, <-results
-	if a.code != http.StatusOK || b.code != http.StatusOK {
-		t.Fatalf("coalesced requests: %d / %d", a.code, b.code)
-	}
-	if !bytes.Equal(a.raw, b.raw) {
-		t.Error("coalesced responses differ")
-	}
-	if got := s.coalesced.Load(); got != 1 {
-		t.Errorf("coalesced counter = %d, want 1", got)
 	}
 }
 

@@ -22,8 +22,7 @@ import (
 // first_non_robust, all_maximal_robust, top_k, or a max_subsets budget)
 // skip the rest of the sweep entirely.
 //
-// Streams sit outside the result cache and the in-flight coalescing:
-// verdict timing is the product, so every stream runs the engine under
+// Streams sit outside the result cache: verdict timing is the product, so every stream runs the engine under
 // its own request context — a client disconnect cancels the lattice walk
 // at the next emission. The cache interplay is one-directional: a
 // completed mode=all stream assembles the equivalent /subsets response

@@ -122,8 +122,6 @@ type Graph struct {
 // bitset is a simple fixed-size bitset over node indices.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
 func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 

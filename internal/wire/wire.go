@@ -246,7 +246,7 @@ type CheckRequest struct {
 	// option, or GOMAXPROCS when the operator left it unset — so a request
 	// can lower concurrency but never raise it past what the operator
 	// allows. Parallelism never changes a verdict, only the wall-clock, so
-	// requests differing only in this field may still be coalesced.
+	// requests differing only in this field share a result-cache entry.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
@@ -378,9 +378,9 @@ type SubsetsResponse struct {
 	// reasoning alone.
 	CertifiedCores int `json:"certified_cores"`
 	// Timings is the per-phase span aggregate, present only behind the
-	// ?debug=timings opt-in. Timed requests bypass the result cache and
-	// coalescing (a cached body replays another run's bytes, which would
-	// carry another run's timings), so cached documents never contain it.
+	// ?debug=timings opt-in. Timed requests bypass the result cache (a
+	// cached body replays another run's bytes, which would carry another
+	// run's timings), so cached documents never contain it.
 	Timings []PhaseTiming `json:"timings,omitempty"`
 }
 
@@ -728,9 +728,8 @@ type WorkloadStats struct {
 	SizeBytes int64 `json:"size_bytes"`
 }
 
-// RequestStats counts served requests by kind. Coalesced counts /subsets
-// requests answered by piggybacking on an identical in-flight enumeration;
-// Streamed counts subsets:stream requests and EarlyTerminations the
+// RequestStats counts served requests by kind. Streamed counts
+// subsets:stream requests and EarlyTerminations the
 // streams that stopped before visiting the whole lattice (mode-driven
 // termination or an emitted-subset budget — not client disconnects).
 type RequestStats struct {
@@ -739,7 +738,6 @@ type RequestStats struct {
 	Subsets           uint64 `json:"subsets"`
 	Certify           uint64 `json:"certify"`
 	Patch             uint64 `json:"patch"`
-	Coalesced         uint64 `json:"coalesced"`
 	Streamed          uint64 `json:"streamed_requests"`
 	EarlyTerminations uint64 `json:"early_terminations"`
 }

@@ -56,7 +56,7 @@
 // HTTP service (cmd/robustserved): workloads are registered once into a
 // fingerprint-keyed LRU registry and answer robustness queries many times
 // from warm caches, with single-program PATCHes triggering the incremental
-// re-analysis path and identical in-flight subset enumerations coalesced.
+// re-analysis path.
 // See internal/server for the API surface and internal/wire for the wire
 // types, which cmd/robustcheck -json shares.
 //
@@ -279,8 +279,8 @@ func Invalidate(sess *Session, p *Program) int {
 func NewServer(opts ServerOptions) *Server { return server.New(opts) }
 
 // Serve runs the service's HTTP API on addr until ctx is cancelled, then
-// shuts down gracefully (draining in-flight requests for up to five
-// seconds; coalesced background enumerations are aborted).
+// shuts down gracefully, draining in-flight requests for up to five
+// seconds.
 func Serve(ctx context.Context, addr string, srv *Server) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
