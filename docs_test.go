@@ -115,6 +115,7 @@ func TestDocsMentionCode(t *testing.T) {
 		"TestNilTracerZeroAllocOverhead",
 		"MaxRequestSchedules", "max_schedules_too_large",
 		"MemProfileRate", "MaxBenchmarkN", "n_too_large", "FuzzServerRequests",
+		"FuzzComposeMatchesBuild", "TestColdComposeAllocsPerLTP",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("ARCHITECTURE.md no longer mentions %q — update the doc with the code", want)

@@ -430,11 +430,21 @@ func TestInvalidateRetiresStalePairs(t *testing.T) {
 	if got := bs.Len(); got != 16 {
 		t.Fatalf("pairs after invalidation = %d, want 16", got)
 	}
-	// A straggler holding the old snapshot recomputes the pair on demand
-	// but the cache must stay at 16 entries.
-	if edges := bs.PairEdges(oldLTPs[0], oldLTPs[0]); edges == nil {
-		// (nil is a legal empty block; the call itself must still work)
-		_ = edges
+	// A straggler holding the old snapshot recomputes the old program's
+	// pairs on demand but the cache must stay at 16 entries.
+	straggler := append([]*btp.LTP{}, oldLTPs...)
+	for _, p := range bench.Programs {
+		if p != old {
+			ltps, err := sess.LTPs(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			straggler = append(straggler, ltps...)
+		}
+	}
+	got := summary.Compose(bs, straggler)
+	if want := summary.Build(bench.Schema, straggler, cfg.Setting); got.String() != want.String() {
+		t.Error("straggler compose diverges from Build")
 	}
 	if got := bs.Len(); got != 16 {
 		t.Errorf("retired pair re-cached: %d pairs, want 16", got)

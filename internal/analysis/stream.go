@@ -141,23 +141,16 @@ func (s *Session) RobustSubsetsStream(ctx context.Context, programs []*btp.Progr
 }
 
 // topKBySize returns the k largest robust subsets, size-descending with
-// lexicographic tiebreak. The input arrives smallest-first (report order)
-// and is not mutated.
+// lexicographic tiebreak. robust is in report order — by size, then by
+// names — so whole size groups are taken from its end, each in its stored
+// order, and nothing is sorted. The input is not mutated.
 func topKBySize(robust []Subset, k int) []Subset {
-	sorted := append([]Subset(nil), robust...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if len(sorted[i]) != len(sorted[j]) {
-			return len(sorted[i]) > len(sorted[j])
-		}
-		for x := range sorted[i] {
-			if sorted[i][x] != sorted[j][x] {
-				return sorted[i][x] < sorted[j][x]
-			}
-		}
-		return false
-	})
-	if k < len(sorted) {
-		sorted = sorted[:k]
+	var top []Subset
+	for end := len(robust); end > 0 && len(top) < k; {
+		size := len(robust[end-1])
+		start := sort.Search(end, func(i int) bool { return len(robust[i]) >= size })
+		top = append(top, robust[start:min(end, start+k-len(top))]...)
+		end = start
 	}
-	return sorted
+	return top
 }

@@ -136,7 +136,7 @@ func TestTracerPhasesStream(t *testing.T) {
 // one Checker (AllocsPerRun's warm-up run caches its blocks and seeds its
 // cores and covers), pruned-cold enumerates on a fresh Checker per run.
 // AllocsPerRun measures at GOMAXPROCS 1, so the counts are deterministic
-// (35 warm, 202 cold); each bound is the count plus one, and catches any
+// (35 warm, 165 cold); each bound is the count plus one, and catches any
 // per-span, per-level or per-subset allocation leaking past the
 // nil-tracer branch. The warm walk is decided by containment alone, so it
 // never looks up the universe-graph memo.
@@ -153,7 +153,7 @@ func TestNilTracerZeroAllocOverhead(t *testing.T) {
 		warm.Setting = setting
 		cases = append(cases, allocCase{"pruned/" + setting.String(), func() *robust.Checker { return warm }, 36})
 	}
-	cases = append(cases, allocCase{"pruned-cold", func() *robust.Checker { return robust.NewChecker(bench.Schema) }, 203})
+	cases = append(cases, allocCase{"pruned-cold", func() *robust.Checker { return robust.NewChecker(bench.Schema) }, 166})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(10, func() {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/analysis"
@@ -140,6 +141,11 @@ func checkRandomWalk(t *testing.T, name string, schema *relschema.Schema, progra
 	if !reflect.DeepEqual(streamed, got) {
 		t.Fatalf("%s: cold streaming report diverges\nstream:  %s\ncollect: %s", name, reportShape(streamed), reportShape(got))
 	}
+	for k := 1; k <= len(got.Robust)+1; k++ {
+		if top, want := analysis.TopKBySize(got.Robust, k), topKBySort(got.Robust, k); !reflect.DeepEqual(top, want) {
+			t.Fatalf("%s: top-%d diverges from the sorting referee\ntop:  %v\nwant: %v", name, k, top, want)
+		}
+	}
 
 	cores := cold.ExportCores()
 	if len(cores) == 0 {
@@ -162,6 +168,28 @@ func checkRandomWalk(t *testing.T, name string, schema *relschema.Schema, progra
 	if streamed := streamReport(t, name, seeded(), programs, cfg); !reflect.DeepEqual(streamed, collected) {
 		t.Fatalf("%s: seeded streaming report diverges\nstream:  %s\ncollect: %s", name, reportShape(streamed), reportShape(collected))
 	}
+}
+
+// topKBySort is the sorting referee of the top_k ranking: it copies the
+// robust list, sorts it size-descending with a lexicographic tiebreak and
+// truncates it to k.
+func topKBySort(robust []analysis.Subset, k int) []analysis.Subset {
+	sorted := append([]analysis.Subset(nil), robust...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if len(sorted[i]) != len(sorted[j]) {
+			return len(sorted[i]) > len(sorted[j])
+		}
+		for x := range sorted[i] {
+			if sorted[i][x] != sorted[j][x] {
+				return sorted[i][x] < sorted[j][x]
+			}
+		}
+		return false
+	})
+	if k < len(sorted) {
+		sorted = sorted[:k]
+	}
+	return sorted
 }
 
 // streamReport runs a full streaming walk and returns its summary report,

@@ -187,14 +187,18 @@ func (g *Graph) Reachable(from, to *btp.LTP) bool {
 // CounterflowEdges returns the number of counterflow edges.
 func (g *Graph) CounterflowEdges() int { return len(g.cf) }
 
-// SizeBytes estimates the graph's resident memory beyond its edges: the
-// endpoint arrays, the adjacency lists and the counterflow list. The
-// edges of a composed graph copy blocks that BlockSet.SizeBytes already
-// counts, so like that estimate this one is biased low. The session adds
-// it for every universe graph it memoizes.
+// SizeBytes estimates the graph's resident memory: its materialized edges,
+// the endpoint arrays, the adjacency lists and the counterflow list. A
+// composed graph's Edge values exist only here — the block set keeps its
+// edges packed — so they are counted in full. Like BlockSet.SizeBytes the
+// estimate is biased low: it ignores the LTPs and the node index. The
+// session adds it for every universe graph it memoizes.
 func (g *Graph) SizeBytes() int64 {
-	return int64(unsafe.Sizeof(*g)) + int64(len(g.Edges))*(4*4) + int64(len(g.cf))*4
+	return int64(unsafe.Sizeof(*g)) + int64(len(g.Edges))*(edgeBytes+4*4) + int64(len(g.cf))*4
 }
+
+// edgeBytes is the size of one materialized Edge.
+const edgeBytes = int64(unsafe.Sizeof(Edge{}))
 
 // Stats summarizes the graph for reporting (the quantities of Table 2).
 type Stats struct {
@@ -314,27 +318,24 @@ func (b *builder) fkSuppressed(pi *btp.LTP, qi *btp.StmtOcc, pj *btp.LTP, qj *bt
 }
 
 // appendPairEdges appends to dst every edge of Algorithm 1 between the
-// ordered pair (pi, pj): the inner qi × qj loops of constructSuG. Edges
-// between two LTPs depend only on the pair itself (statement types,
-// attribute sets and the LTPs' own foreign-key annotations), never on which
-// other LTPs are present — the property BlockSet and Compose exploit.
-func (b *builder) appendPairEdges(dst []Edge, pi, pj *btp.LTP) []Edge {
-	for _, qi := range pi.Stmts {
-		for _, qj := range pj.Stmts {
+// ordered pair (pi, pj): the inner qi × qj loops of constructSuG, each edge
+// packed as its occurrence positions and class. Edges between two LTPs
+// depend only on the pair itself (statement types, attribute sets and the
+// LTPs' own foreign-key annotations), never on which other LTPs are
+// present — the property BlockSet and Compose exploit.
+func (b *builder) appendPairEdges(dst []packedEdge, pi, pj *btp.LTP) []packedEdge {
+	for x, qi := range pi.Stmts {
+		for y, qj := range pj.Stmts {
 			if qi.Stmt.Rel != qj.Stmt.Rel {
 				continue
 			}
 			nc := NcDepTable[qi.Stmt.Type][qj.Stmt.Type]
 			if nc == Yes || (nc == Cond && b.ncDepConds(qi.Stmt, qj.Stmt)) {
-				dst = append(dst, Edge{
-					From: pi, FromStmt: qi, Class: NonCounterflow, ToStmt: qj, To: pj,
-				})
+				dst = append(dst, packedEdge{from: uint32(x), to: uint32(y)})
 			}
 			c := CDepTable[qi.Stmt.Type][qj.Stmt.Type]
 			if c == Yes || (c == Cond && b.cDepConds(pi, qi, pj, qj)) {
-				dst = append(dst, Edge{
-					From: pi, FromStmt: qi, Class: Counterflow, ToStmt: qj, To: pj,
-				})
+				dst = append(dst, packedEdge{from: uint32(x), to: uint32(y) | counterflowBit})
 			}
 		}
 	}
@@ -355,11 +356,12 @@ func Build(schema *relschema.Schema, ltps []*btp.LTP, setting Setting) *Graph {
 	for i, l := range ltps {
 		g.nodeIdx[l] = i
 	}
+	var blk []packedEdge
 	for fi, pi := range ltps {
 		for ti, pj := range ltps {
-			before := len(g.Edges)
-			g.Edges = b.appendPairEdges(g.Edges, pi, pj)
-			for range g.Edges[before:] {
+			blk = b.appendPairEdges(blk[:0], pi, pj)
+			for _, pe := range blk {
+				g.Edges = append(g.Edges, pe.edge(pi, pj))
 				g.edgeFrom = append(g.edgeFrom, int32(fi))
 				g.edgeTo = append(g.edgeTo, int32(ti))
 			}
