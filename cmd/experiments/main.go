@@ -5,13 +5,12 @@
 //
 // Usage:
 //
-//	experiments [-maxn 100] [-repeats 3] [-parallel N] [-skip-figure8]
+//	experiments [-maxn 100] [-repeats 3] [-skip-figure8]
 //
 // All cells run on one experiments.Suite: each benchmark's programs are
 // unfolded once and the pairwise summary-graph edge blocks are shared
-// across Table 2 and every Figure 6/7 cell. -parallel bounds the
-// subset-enumeration fanout of Figures 6/7; the Figure 8 sweep times
-// single checks, which run on one goroutine.
+// across Table 2 and every Figure 6/7 cell. Every cell and every Figure 8
+// check runs on one goroutine.
 package main
 
 import (
@@ -27,7 +26,6 @@ func main() {
 	var (
 		maxN        = flag.Int("maxn", 100, "largest Auction(n) scaling factor for Figure 8")
 		repeats     = flag.Int("repeats", 3, "repetitions per Figure 8 point (median reported)")
-		parallel    = flag.Int("parallel", 0, "subset enumeration workers per cell (0 = GOMAXPROCS, 1 = sequential)")
 		skipFigure8 = flag.Bool("skip-figure8", false, "skip the scalability sweep")
 		version     = flag.Bool("version", false, "print version information and exit")
 	)
@@ -38,7 +36,6 @@ func main() {
 	}
 
 	suite := experiments.NewSuite()
-	suite.Parallelism = *parallel
 
 	fmt.Println("== Table 2: benchmark characteristics (attr dep + FK) ==")
 	fmt.Print(experiments.FormatTable2(suite.Table2()))

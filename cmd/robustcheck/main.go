@@ -34,8 +34,8 @@
 //	           "all_maximal_robust", "top_k"
 //	-k         result budget for -mode top_k
 //	-max-subsets  stop the stream after this many emitted verdicts
-//	-parallel  subset enumeration workers (default GOMAXPROCS;
-//	           1 = sequential); also bounds the -certify search
+//	-parallel  concurrent candidate searches of -certify (default
+//	           GOMAXPROCS); the subset enumeration is sequential
 //	-naive     use the naive per-subset oracle instead of the cached engine
 //	-stats     print summary-graph statistics (Table 2)
 //	-unfold    loop unfolding bound (default 2; 2 is sound per Prop. 6.1)
@@ -86,7 +86,7 @@ func main() {
 		mode      = flag.String("mode", "all", "streaming mode: all, first_non_robust, all_maximal_robust, top_k")
 		topK      = flag.Int("k", 0, "result budget for -mode top_k")
 		maxSub    = flag.Int("max-subsets", 0, "stop the stream after this many emitted verdicts (0 = no cap)")
-		parallel  = flag.Int("parallel", 0, "subset enumeration workers (0 = GOMAXPROCS, 1 = sequential)")
+		parallel  = flag.Int("parallel", 0, "concurrent candidate searches of -certify (0 = GOMAXPROCS)")
 		naive     = flag.Bool("naive", false, "use the naive per-subset oracle instead of the cached engine")
 		stats     = flag.Bool("stats", false, "print summary-graph statistics")
 		unfold    = flag.Int("unfold", 2, "loop unfolding bound")
@@ -248,10 +248,9 @@ func run(o runOptions) error {
 	checker.Setting = st
 	checker.Method = m
 	checker.UnfoldBound = o.unfold
-	checker.Parallelism = o.parallel
 	// cfg mirrors the checker configuration for the wire responses, which
 	// echo the setting/method/bound the verdict was computed under.
-	cfg := analysis.Config{Setting: st, Method: m, UnfoldBound: o.unfold, Parallelism: o.parallel}
+	cfg := analysis.Config{Setting: st, Method: m, UnfoldBound: o.unfold}
 
 	out := o.out
 	if out == nil {

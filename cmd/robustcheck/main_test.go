@@ -93,12 +93,11 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunSubsetsModes checks the cached engine (sequential and parallel)
-// and the naive oracle all succeed through the CLI path.
+// TestRunSubsetsModes checks the cached engine and the naive oracle both
+// succeed through the CLI path.
 func TestRunSubsetsModes(t *testing.T) {
 	for _, o := range []runOptions{
-		{benchName: "smallbank", n: 1, setting: "attr+fk", method: "type2", subsets: true, parallel: 1, unfold: 2},
-		{benchName: "smallbank", n: 1, setting: "attr+fk", method: "type2", subsets: true, parallel: 4, unfold: 2},
+		{benchName: "smallbank", n: 1, setting: "attr+fk", method: "type2", subsets: true, unfold: 2},
 		{benchName: "smallbank", n: 1, setting: "tpl", method: "type1", subsets: true, naive: true, unfold: 2},
 	} {
 		if err := run(o); err != nil {

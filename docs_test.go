@@ -82,7 +82,7 @@ func TestDocsMentionCode(t *testing.T) {
 	for _, want := range []string{
 		"BlockSet", "Compose", "RobustWitness", "EnsureCtx",
 		"RobustSubsets", "Parallelism",
-		"NaiveRobustSubsets", "last_parallelism",
+		"NaiveRobustSubsets",
 		"internal/snapshot", "SizeBytes", "result_cache",
 		"-state-dir", "-max-bytes", "evictions_bytes",
 		"seedWalk", "mergeWalk", "subsets_pruned",

@@ -23,7 +23,7 @@ import (
 )
 
 // latticeFactDigest is the SHA-256 of everything latticeFactScript pins.
-const latticeFactDigest = "78f3a0cfdf891fc7095a6897d9d55d70963f7dbd3f4faf2e44f97888decf7e50"
+const latticeFactDigest = "e60941dd717c4bf5e6b195e90ef728e0c5c92ed8bb164abc1803d594e65ed114"
 
 // TestLatticeFactDigest pins the fact store's observable output: the
 // verdicts, core counts, certified counts and exported cores of a fixed

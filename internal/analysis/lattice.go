@@ -94,8 +94,7 @@ type maskFact struct {
 // antichain is one walk's core or cover set, kept free of masks another
 // entry decides: a core decides its supersets, a cover (up) its subsets.
 // A selection has at most MaxSubsetPrograms programs, so a mask is one
-// word and containment one AND-NOT. Only the walk's goroutine writes it,
-// between levels; workers read it while a level is decided.
+// word and containment one AND-NOT.
 type antichain struct {
 	up    bool
 	facts []maskFact
@@ -220,7 +219,7 @@ func (s *Session) mergeWalk(k coreKey, programs []*btp.Program, cores, covers *a
 // holds s.mu.
 func (s *Session) retiredAny(set []*btp.Program) bool {
 	for _, p := range set {
-		if s.retired[p] {
+		if s.retired.Has(p) {
 			return true
 		}
 	}

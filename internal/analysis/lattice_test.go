@@ -36,11 +36,10 @@ func TestLatticePruningRandomSelectionsMatchOracle(t *testing.T) {
 			programs[i] = bench.Programs[perm[i]]
 		}
 		cfg := analysis.Config{
-			Setting:     summary.AllSettings[rng.Intn(len(summary.AllSettings))],
-			Method:      methods[rng.Intn(len(methods))],
-			Parallelism: 1 + rng.Intn(8),
+			Setting: summary.AllSettings[rng.Intn(len(summary.AllSettings))],
+			Method:  methods[rng.Intn(len(methods))],
 		}
-		name := fmt.Sprintf("trial %d: %s k=%d %s/%s par=%d", trial, bench.Name, k, cfg.Setting, cfg.Method, cfg.Parallelism)
+		name := fmt.Sprintf("trial %d: %s k=%d %s/%s", trial, bench.Name, k, cfg.Setting, cfg.Method)
 
 		pruned, err := sessions[bench.Name].RobustSubsets(programs, cfg)
 		if err != nil {
@@ -83,9 +82,7 @@ func TestLatticePruningMatchesNaiveOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := sess.RobustSubsets(bench.Programs, analysis.Config{
-						Setting: setting, Method: method, Parallelism: 4,
-					})
+					got, err := sess.RobustSubsets(bench.Programs, analysis.Config{Setting: setting, Method: method})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -159,38 +156,6 @@ func coreNames(ps []*btp.Program) []string {
 		out[i] = p.ShortName()
 	}
 	return out
-}
-
-// TestPruningDeterministicAcrossParallelism: the level-order traversal's
-// pruned/checked split (and therefore the wire's subsets_pruned) must not
-// depend on worker count or scheduling — only on the session's seed state.
-func TestPruningDeterministicAcrossParallelism(t *testing.T) {
-	bench := benchmarks.SmallBank()
-	type shape struct {
-		report          string
-		checked, pruned int
-		cores           int
-	}
-	var base *shape
-	for _, par := range []int{1, 2, 4, 16} {
-		// A fresh session per worker count: identical seed state (none).
-		sess := analysis.NewSession(bench.Schema)
-		rep, err := sess.RobustSubsets(bench.Programs, analysis.Config{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := &shape{rep.String(), rep.Checked, rep.Pruned, rep.Cores}
-		if base == nil {
-			base = got
-			if base.pruned == 0 {
-				t.Fatal("full SmallBank enumeration pruned nothing — the lattice is known to contain non-minimal non-robust subsets")
-			}
-			continue
-		}
-		if *got != *base {
-			t.Errorf("parallelism %d changes the enumeration shape: %+v vs %+v", par, got, base)
-		}
-	}
 }
 
 // TestWarmSessionPrunesEveryNonRobustSubset: after one enumeration the

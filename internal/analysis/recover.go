@@ -5,16 +5,16 @@ import (
 	"runtime/debug"
 )
 
-// PanicError wraps a panic recovered in one of the engine's worker
-// goroutines. A panic on a goroutine the engine spawned would otherwise
-// kill the whole process — no deferred recovery upstream can catch it —
-// so the worker pools convert it into an error that propagates through
-// the normal return path, where the server maps it to a structured 500
-// (and logs Stack) instead of dying mid-request.
+// PanicError wraps a panic recovered in the engine: the lattice walk
+// recovers at its entry, and certify's candidate workers on the goroutines
+// they run on, where a panic would otherwise kill the whole process — no
+// deferred recovery upstream can catch it. The panic becomes an error that
+// propagates through the normal return path, where the server maps it to
+// a structured 500 (and logs Stack) instead of dying mid-request.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
-	// Stack is the worker goroutine's stack at the point of recovery.
+	// Stack is the panicking goroutine's stack at the point of recovery.
 	Stack []byte
 }
 
@@ -22,11 +22,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("internal: panic in analysis worker: %v", e.Value)
 }
 
-// capturePanic is the deferred recovery of a pool worker: it stores a
-// *PanicError in the worker's error slot, keeping an error the worker
-// already reported (the panic then happened during unwinding bookkeeping
-// and the first cause wins).
-func capturePanic(slot *error) {
+// CapturePanic is the deferred recovery of an engine entry point or
+// worker goroutine: it stores a *PanicError in the error slot, keeping an
+// error already reported there (the panic then happened during unwinding
+// bookkeeping and the first cause wins).
+func CapturePanic(slot *error) {
 	if p := recover(); p != nil {
 		if *slot == nil {
 			*slot = &PanicError{Value: p, Stack: debug.Stack()}

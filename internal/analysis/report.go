@@ -54,9 +54,8 @@ type SubsetReport struct {
 	// decided by the minimal-core containment test instead, and Cores is
 	// the number of minimal non-robust cores known when the enumeration
 	// finished (seeds included). Checked+Pruned = 2^n − 1 for the pruned
-	// traversal. Deterministic for a given session state: level-order
-	// processing makes the pruning independent of worker count and
-	// scheduling.
+	// traversal. Deterministic for a given session state: the walk visits
+	// the levels in a fixed order on one goroutine.
 	Checked int
 	Pruned  int
 	Cores   int

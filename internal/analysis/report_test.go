@@ -140,7 +140,6 @@ func TestWalkCancelDuringReport(t *testing.T) {
 	bench := benchmarks.AuctionN(9)
 	n := len(bench.Programs)
 	cfg := analysis.DefaultConfig()
-	cfg.Parallelism = 1
 	sess := analysis.NewSession(bench.Schema)
 	sess.ImportCovers([]analysis.CoreFact{{Setting: cfg.Setting, Method: cfg.Method, Programs: bench.Programs}})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -6,10 +6,10 @@
 // Algorithm 1 (computed once per analysis setting) — plus the facts every
 // enumeration learns: minimal non-robust cores and robust covers, kept as
 // program sets (lattice.go). One lattice walk (walk.go) then enumerates
-// the subsets: the cores and covers inside its selection decide most of
-// them by containment, and the rest run only the cycle detection on the
-// selection's memoized universe graph — composed from cached blocks by
-// the walk's first detector miss — fanned out over a bounded worker pool.
+// the subsets on its caller's goroutine: the cores and covers inside its
+// selection decide most of them by containment, and the rest run only the
+// cycle detection on the selection's memoized universe graph — composed
+// from cached blocks by the walk's first detector miss.
 //
 // The naive path (re-unfold and re-run Algorithm 1 from scratch for every
 // subset) is retained in internal/robust as the oracle for equivalence
@@ -19,7 +19,6 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -28,6 +27,7 @@ import (
 	"repro/internal/btp"
 	"repro/internal/obs"
 	"repro/internal/relschema"
+	"repro/internal/retire"
 	"repro/internal/summary"
 )
 
@@ -43,19 +43,17 @@ type Config struct {
 	// UnfoldBound overrides the loop-unfolding bound; 0 means the paper's
 	// bound of 2 (Proposition 6.1). Bound 1 is unsound in general.
 	UnfoldBound int
-	// Parallelism bounds the worker pool of subset enumeration: the lattice
-	// walk behind RobustSubsets and RobustSubsetsStream. 0 means GOMAXPROCS,
-	// 1 walks on the calling goroutine. A single check (Check, and every
-	// summary-graph construction) always runs on the calling goroutine.
+	// Parallelism is ignored: every check and every subset enumeration
+	// runs on the calling goroutine. The field stays only because the
+	// service benchmark module sets it.
 	Parallelism int
 	// Tracer receives phase spans (validate/unfold, Algorithm 1 pair
 	// derivation, compose, detect, per-lattice-level, first-verdict) from
 	// this analysis. nil — the default — is the no-op: instrumented code
 	// branches on nil before calling time.Now, so a disabled tracer adds
 	// neither time nor allocations to the hot paths (asserted by the
-	// pruned-subsets allocation gate). Implementations must be safe for
-	// concurrent use; spans are emitted from parallel workers. Tracer never
-	// changes a verdict, only what is observed about computing it.
+	// pruned-subsets allocation gate). Tracer never changes a verdict, only
+	// what is observed about computing it.
 	Tracer obs.Tracer
 }
 
@@ -70,13 +68,6 @@ func (c Config) bound() int {
 		return c.UnfoldBound
 	}
 	return btp.DefaultUnfoldBound
-}
-
-func (c Config) parallelism() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // traceCtx attaches the config's tracer to the context, so the summary
@@ -131,11 +122,11 @@ type Session struct {
 	// universes memoizes the composed universe graph per exact program
 	// selection, so repeated enumerations skip even the warm compose scan.
 	universes map[universeKey]*universeEntry
-	// retired marks programs passed to Invalidate: checks that were
-	// already in flight may still resolve them, but the results are no
-	// longer memoized — re-admitting entries for a replaced program would
-	// leak them for the session's lifetime.
-	retired map[*btp.Program]bool
+	// retired marks the programs most recently passed to Invalidate:
+	// checks that were already in flight may still resolve them, but the
+	// results are no longer memoized — re-admitting entries for a replaced
+	// program would leak them for the session's lifetime.
+	retired retire.Set[*btp.Program]
 
 	// Core-pruning telemetry (see Stats): a core hit is a subset decided
 	// non-robust by the core containment scan, a cover hit one decided
@@ -154,7 +145,6 @@ func NewSession(schema *relschema.Schema) *Session {
 		cores:     make(map[coreKey][]fact),
 		covers:    make(map[coreKey][]fact),
 		universes: make(map[universeKey]*universeEntry),
-		retired:   make(map[*btp.Program]bool),
 	}
 }
 
@@ -169,7 +159,7 @@ func (s *Session) LTPs(p *btp.Program, bound int) ([]*btp.LTP, error) {
 		bound = btp.DefaultUnfoldBound
 	}
 	s.mu.Lock()
-	if s.retired[p] {
+	if s.retired.Has(p) {
 		// Serve an in-flight straggler that still holds the replaced
 		// program, without re-admitting anything to the caches: the
 		// fresh unfolding is retired in every block cache so its pairs
@@ -213,7 +203,7 @@ func (s *Session) LTPs(p *btp.Program, bound int) ([]*btp.LTP, error) {
 		ltps = btp.Unfold(p, bound)
 	}
 	s.mu.Lock()
-	if s.retired[p] {
+	if s.retired.Has(p) {
 		// Retired while computing (a concurrent Invalidate): serve without
 		// admitting, exactly like the straggler path above.
 		sets := make([]*summary.BlockSet, 0, len(s.blocks))
@@ -271,7 +261,7 @@ func (s *Session) Blocks(setting summary.Setting) *summary.BlockSet {
 // verdicts never depend on cache contents.
 func (s *Session) Invalidate(p *btp.Program) int {
 	s.mu.Lock()
-	s.retired[p] = true
+	s.retired.Add(p)
 	delete(s.validated, p)
 	var victims []*btp.LTP
 	for k, ltps := range s.unfolded {
@@ -403,16 +393,16 @@ const (
 )
 
 // SizeBytes estimates the session's resident memory: the memoized
-// unfoldings, universe graphs (Graph.SizeBytes) and fact stores plus
-// every per-setting edge-block cache (BlockSet.SizeBytes).
+// unfoldings, universe graphs (Graph.SizeBytes), fact stores and retired
+// set plus every per-setting edge-block cache (BlockSet.SizeBytes).
 // It feeds the server's per-workload memory accounting for -max-bytes
 // eviction; like the block-cache estimate it is relative, not exact.
 func (s *Session) SizeBytes() int64 {
 	s.mu.Lock()
-	n := int64(sessionBaseBytes)
+	n := int64(sessionBaseBytes) + s.retired.SizeBytes()
 	for _, ltps := range s.unfolded {
 		for _, l := range ltps {
-			n += ltpBytes + int64(len(l.Statements()))*stmtOccBytes
+			n += ltpBytes + int64(len(l.Stmts))*stmtOccBytes
 		}
 	}
 	_, _, _, factBytes := s.factStoresLocked()
@@ -456,7 +446,7 @@ func (s *Session) Check(programs []*btp.Program, cfg Config) (*Result, error) {
 
 // CheckCtx is Check under a context, which aborts the summary-graph
 // assembly between pair chunks and stages. The whole check runs on the
-// calling goroutine; cfg.Parallelism does not apply.
+// calling goroutine.
 func (s *Session) CheckCtx(ctx context.Context, programs []*btp.Program, cfg Config) (*Result, error) {
 	tr := cfg.Tracer
 	var t0 time.Time
@@ -504,9 +494,10 @@ func (s *Session) CheckCtx(ctx context.Context, programs []*btp.Program, cfg Con
 // every non-robust discovery as a minimal non-robust core and decides
 // supersets of known cores (and subsets of known robust covers) by a
 // bitset containment scan instead of running the detector; the remaining
-// subsets are decided on the selection's memoized universe graph,
-// fanned over cfg.Parallelism workers, so the expensive Algorithm 1 side
-// conditions run once per LTP pair overall rather than once per subset.
+// subsets are decided on the selection's memoized universe graph, so the
+// expensive Algorithm 1 side conditions run once per LTP pair overall
+// rather than once per subset. A robust selection is decided by one
+// detector run on its full set.
 // Non-robustness is monotone over induced subgraphs, so the pruning is
 // exact and the report is identical to the naive per-subset oracle.
 func (s *Session) RobustSubsets(programs []*btp.Program, cfg Config) (*SubsetReport, error) {

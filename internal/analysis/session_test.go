@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/benchmarks"
 	"repro/internal/btp"
+	"repro/internal/relschema"
 	"repro/internal/robust"
 	"repro/internal/sqlbtp"
 	"repro/internal/summary"
@@ -24,8 +26,8 @@ func fixedBenchmarks() []*benchmarks.Benchmark {
 }
 
 // wideBenchmarks are Auction(4)–(6): 8, 10 and 12 programs, whose widest
-// lattice levels (70, 252 and 924 masks) the walk decides on its worker
-// pool.
+// lattice levels have 70, 252 and 924 masks, and whose full selections are
+// robust under foreign keys (the walk's probe decides them in one run).
 func wideBenchmarks() []*benchmarks.Benchmark {
 	return []*benchmarks.Benchmark{benchmarks.AuctionN(4), benchmarks.AuctionN(5), benchmarks.AuctionN(6)}
 }
@@ -35,7 +37,7 @@ var methods = []summary.Method{summary.TypeII, summary.TypeI}
 
 // TestEngineEquivalenceRobustSubsets is the engine's ground-truth test:
 // for every fixed and wide benchmark under all four settings and both
-// methods, the composed-graph parallel enumeration must produce a report
+// methods, the composed-graph enumeration must produce a report
 // byte-identical to the naive per-subset oracle (re-validate, re-unfold,
 // re-run Algorithm 1 for each of the 2^n − 1 subsets).
 func TestEngineEquivalenceRobustSubsets(t *testing.T) {
@@ -55,9 +57,7 @@ func TestEngineEquivalenceRobustSubsets(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := sess.RobustSubsets(bench.Programs, analysis.Config{
-						Setting: setting, Method: method, Parallelism: 4,
-					})
+					got, err := sess.RobustSubsets(bench.Programs, analysis.Config{Setting: setting, Method: method})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -237,9 +237,7 @@ func TestSessionConcurrentUse(t *testing.T) {
 			setting := summary.AllSettings[g%len(summary.AllSettings)]
 			method := methods[g%len(methods)]
 			for i := 0; i < 3; i++ {
-				rep, err := sess.RobustSubsets(bench.Programs, analysis.Config{
-					Setting: setting, Method: method, Parallelism: 4,
-				})
+				rep, err := sess.RobustSubsets(bench.Programs, analysis.Config{Setting: setting, Method: method})
 				if err != nil {
 					errc <- err
 					return
@@ -259,29 +257,6 @@ func TestSessionConcurrentUse(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
-	}
-}
-
-// TestParallelismEquivalence sweeps worker counts and asserts identical
-// reports, including the degenerate sequential case.
-func TestParallelismEquivalence(t *testing.T) {
-	bench := benchmarks.SmallBank()
-	sess := analysis.NewSession(bench.Schema)
-	var base string
-	for i, par := range []int{1, 2, 3, 8, 64} {
-		rep, err := sess.RobustSubsets(bench.Programs, analysis.Config{
-			Setting: summary.SettingAttrDepFK, Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			base = rep.String()
-			continue
-		}
-		if rep.String() != base {
-			t.Errorf("parallelism %d diverges: %s != %s", par, rep, base)
-		}
 	}
 }
 
@@ -483,11 +458,76 @@ func TestRetiredProgramNotRememoized(t *testing.T) {
 	}
 }
 
-// TestIntraCheckParallelismEquivalence: the Parallelism knob never reaches
-// a single check. Across every fixed benchmark, all four settings and both
-// methods, a cold Check at Parallelism 1 and at Parallelism 8 must both
-// match the naive oracle — same verdict, identical graph dump, matching
-// witness presence.
+// The statements and program of SmallBank's DepositChecking, declared as
+// package-level composite literals: the compiler allocates them
+// statically, not on the heap, as a library caller may declare a program.
+var (
+	staticQ9 = &btp.Stmt{Name: "q9", Type: btp.KeySel, Rel: "Account",
+		ReadSet: btp.OptAttrs{Defined: true, Set: relschema.AttrSet{"CustomerId": {}}}}
+	staticQ10 = &btp.Stmt{Name: "q10", Type: btp.KeyUpd, Rel: "Checking",
+		ReadSet:  btp.OptAttrs{Defined: true, Set: relschema.AttrSet{"Balance": {}}},
+		WriteSet: btp.OptAttrs{Defined: true, Set: relschema.AttrSet{"Balance": {}}}}
+	staticDepositChecking = &btp.Program{
+		Name: "DepositChecking", Abbrev: "DC",
+		Body: &btp.Seq{Items: []btp.Node{&btp.StmtNode{Stmt: staticQ9}, &btp.StmtNode{Stmt: staticQ10}}},
+		FKs:  []btp.FKConstraint{{FK: "fC", Src: staticQ9, Dst: staticQ10}},
+	}
+)
+
+// TestInvalidateStaticProgram: a program that is not a heap object can be
+// invalidated, and afterwards checked, walked and streamed — as an
+// in-flight straggler would — with the oracle's verdicts and without
+// re-memoizing it.
+func TestInvalidateStaticProgram(t *testing.T) {
+	bench := benchmarks.SmallBank()
+	programs := slices.Clone(bench.Programs)
+	programs[slices.Index(programs, bench.Program("DepositChecking"))] = staticDepositChecking
+	cfg := analysis.DefaultConfig()
+	oracle := robust.NewChecker(bench.Schema)
+	oracle.Setting, oracle.Method = cfg.Setting, cfg.Method
+	want, err := oracle.NaiveRobustSubsets(programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := analysis.NewSession(bench.Schema)
+	analyse := func(when string) {
+		res, err := sess.Check(programs, cfg)
+		if err != nil {
+			t.Fatalf("%s: check: %v", when, err)
+		}
+		if w := oracle.CheckLTPs(btp.UnfoldAll2(programs)); res.Robust != w.Robust {
+			t.Errorf("%s: check robust=%t, oracle=%t", when, res.Robust, w.Robust)
+		}
+		rep, err := sess.RobustSubsets(programs, cfg)
+		if err != nil {
+			t.Fatalf("%s: walk: %v", when, err)
+		}
+		if rep.String() != want.String() {
+			t.Errorf("%s: walk report diverges:\nengine: %s\noracle: %s", when, rep, want)
+		}
+		sum, err := sess.RobustSubsetsStream(context.Background(), programs, cfg, analysis.StreamOptions{},
+			func(analysis.StreamVerdict) error { return nil })
+		if err != nil {
+			t.Fatalf("%s: stream: %v", when, err)
+		}
+		if sum.Report.String() != want.String() {
+			t.Errorf("%s: stream report diverges:\nengine: %s\noracle: %s", when, sum.Report, want)
+		}
+	}
+	analyse("before Invalidate")
+	if removed := sess.Invalidate(staticDepositChecking); removed == 0 {
+		t.Error("Invalidate evicted no pairs of the static program")
+	}
+	st0 := sess.Stats()
+	analyse("after Invalidate")
+	if st1 := sess.Stats(); st1.Programs != st0.Programs || st1.Unfoldings != st0.Unfoldings {
+		t.Errorf("the retired static program was memoized again: %+v -> %+v", st0, st1)
+	}
+}
+
+// TestIntraCheckParallelismEquivalence: across every fixed benchmark, all
+// four settings and both methods, a cold Check must match the naive
+// oracle — same verdict, identical graph dump, matching witness presence.
 func TestIntraCheckParallelismEquivalence(t *testing.T) {
 	for _, bench := range fixedBenchmarks() {
 		for _, setting := range summary.AllSettings {
@@ -498,25 +538,21 @@ func TestIntraCheckParallelismEquivalence(t *testing.T) {
 					oracle.Setting = setting
 					oracle.Method = method
 					want := oracle.CheckLTPs(btp.UnfoldAll2(bench.Programs))
-					for _, par := range []int{1, 8} {
-						// A fresh session per parallelism level so both
-						// exercise cold construction, not cache reads.
-						sess := analysis.NewSession(bench.Schema)
-						got, err := sess.Check(bench.Programs, analysis.Config{
-							Setting: setting, Method: method, Parallelism: par,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got.Robust != want.Robust {
-							t.Errorf("parallelism %d: robust=%t, oracle=%t", par, got.Robust, want.Robust)
-						}
-						if got.Graph.String() != want.Graph.String() {
-							t.Errorf("parallelism %d: graph dump diverges from oracle", par)
-						}
-						if (got.Witness == nil) != (want.Witness == nil) {
-							t.Errorf("parallelism %d: witness presence diverges", par)
-						}
+					// A fresh session, so the check exercises cold
+					// construction, not cache reads.
+					sess := analysis.NewSession(bench.Schema)
+					got, err := sess.Check(bench.Programs, analysis.Config{Setting: setting, Method: method})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Robust != want.Robust {
+						t.Errorf("robust=%t, oracle=%t", got.Robust, want.Robust)
+					}
+					if got.Graph.String() != want.Graph.String() {
+						t.Error("graph dump diverges from oracle")
+					}
+					if (got.Witness == nil) != (want.Witness == nil) {
+						t.Error("witness presence diverges")
 					}
 				})
 			}
@@ -525,27 +561,21 @@ func TestIntraCheckParallelismEquivalence(t *testing.T) {
 }
 
 // TestIntraCheckLargeUniverseParallelism: on a large universe (Auction(40),
-// 120 nodes) a single check must produce the same graph and verdict at
-// Parallelism 1 and 4.
+// 120 nodes) a cold check must be robust and produce the graph Build
+// constructs.
 func TestIntraCheckLargeUniverseParallelism(t *testing.T) {
 	bench := benchmarks.AuctionN(40)
-	var base string
-	for _, par := range []int{1, 4} {
-		sess := analysis.NewSession(bench.Schema)
-		cfg := analysis.DefaultConfig() // attr+fk: the setting under which Auction(n) is robust
-		cfg.Parallelism = par
-		res, err := sess.Check(bench.Programs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Robust {
-			t.Fatalf("Auction(40) not robust at parallelism %d", par)
-		}
-		if dump := res.Graph.String(); base == "" {
-			base = dump
-		} else if dump != base {
-			t.Errorf("parallelism %d: Auction(40) graph diverges", par)
-		}
+	sess := analysis.NewSession(bench.Schema)
+	cfg := analysis.DefaultConfig() // attr+fk: the setting under which Auction(n) is robust
+	res, err := sess.Check(bench.Programs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Robust {
+		t.Fatal("Auction(40) not robust")
+	}
+	if want := summary.Build(bench.Schema, btp.UnfoldAll2(bench.Programs), cfg.Setting); res.Graph.String() != want.String() {
+		t.Error("Auction(40) graph diverges from Build")
 	}
 }
 
@@ -569,5 +599,27 @@ func TestSessionSizeBytes(t *testing.T) {
 	sess.Invalidate(bench.Programs[0])
 	if shrunk := sess.SizeBytes(); shrunk >= warm {
 		t.Errorf("SizeBytes after Invalidate = %d, want below %d", shrunk, warm)
+	}
+}
+
+// TestSessionSizeBytesAllocs: the estimate counts each memoized LTP's
+// statements without copying them, so its allocations do not grow with the
+// number of LTPs — a warm TPC-C session costs what a warm SmallBank one
+// does. Under -max-bytes the server estimates every resident workload
+// after requests.
+func TestSessionSizeBytesAllocs(t *testing.T) {
+	allocs := func(bench *benchmarks.Benchmark) (float64, int) {
+		sess := analysis.NewSession(bench.Schema)
+		res, err := sess.Check(bench.Programs, analysis.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { sess.SizeBytes() }), len(res.LTPs)
+	}
+	small, smallLTPs := allocs(benchmarks.SmallBank())
+	tpcc, tpccLTPs := allocs(benchmarks.TPCC())
+	if small != tpcc {
+		t.Errorf("SizeBytes allocates %.0f times over %d LTPs (SmallBank), %.0f over %d (TPC-C): want equal",
+			small, smallLTPs, tpcc, tpccLTPs)
 	}
 }

@@ -102,9 +102,13 @@ type StreamVerdict struct {
 type StreamSummary struct {
 	// Emitted counts verdicts handed to the callback; Checked counts
 	// detector runs and Pruned containment decisions, over the visited
-	// prefix of the lattice. Cores is the selection's core count after
-	// the run.
+	// prefix of the lattice: the probe's run on a robust full selection
+	// counts when the walk reaches the full set, a discarded probe
+	// nowhere. Cores is the selection's core count after the run.
 	Emitted, Checked, Pruned, Cores int
+	// NewFacts is true when the walk added a core or cover to the session's
+	// fact store.
+	NewFacts bool
 	// Terminated is true when the run stopped before visiting every
 	// subset; Reason is then one of the Reason constants.
 	Terminated bool

@@ -32,19 +32,18 @@ func collectStream(t *testing.T, bench *benchmarks.Benchmark, cfg analysis.Confi
 }
 
 // TestStreamMatchesMonolithic is the streaming ground-truth test: for every
-// fixed and wide benchmark × all four settings × sequential and parallel
-// levels, a full stream must (a) emit exactly the 2^n − 1 subsets, (b)
-// emit verdicts that agree subset-by-subset with the monolithic report,
-// (c) assemble a summary report identical to RobustSubsetsCtx including
-// the Checked/Pruned split, and (d) emit level by level in ascending mask
-// order (bit i for the i-th program) at every worker count — the order the
-// collecting walk visits, not a race.
+// fixed and wide benchmark × all four settings, a full stream must (a) emit
+// exactly the 2^n − 1 subsets, (b) emit verdicts that agree
+// subset-by-subset with the monolithic report, (c) assemble a summary
+// report identical to RobustSubsetsCtx including the Checked/Pruned split,
+// and (d) emit level by level in ascending mask order (bit i for the i-th
+// program) — the order the collecting walk visits.
 func TestStreamMatchesMonolithic(t *testing.T) {
 	for _, bench := range append(fixedBenchmarks(), wideBenchmarks()...) {
 		for _, setting := range summary.AllSettings {
 			t.Run(fmt.Sprintf("%s/%s", bench.Name, setting), func(t *testing.T) {
-				mono, err := analysis.NewSession(bench.Schema).RobustSubsets(
-					bench.Programs, analysis.Config{Setting: setting, Parallelism: 4})
+				cfg := analysis.Config{Setting: setting}
+				mono, err := analysis.NewSession(bench.Schema).RobustSubsets(bench.Programs, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,34 +52,31 @@ func TestStreamMatchesMonolithic(t *testing.T) {
 					robustByKey[s.String()] = true
 				}
 
-				for _, par := range []int{1, 8} {
-					cfg := analysis.Config{Setting: setting, Parallelism: par}
-					got, sum := collectStream(t, bench, cfg, analysis.StreamOptions{})
-					total := (1 << len(bench.Programs)) - 1
-					if len(got) != total || sum.Emitted != total {
-						t.Fatalf("par=%d: emitted %d/%d verdicts, want %d", par, len(got), sum.Emitted, total)
-					}
-					if sum.Terminated || sum.Reason != "" {
-						t.Errorf("par=%d: full stream reported termination: %+v", par, sum)
-					}
-					for _, v := range got {
-						key := analysis.Subset(v.Programs).String()
-						if v.Robust != robustByKey[key] {
-							t.Errorf("par=%d: %s robust=%t, monolithic says %t", par, key, v.Robust, robustByKey[key])
-						}
-						if len(v.Programs) != v.Size {
-							t.Errorf("par=%d: %s size %d", par, key, v.Size)
-						}
-					}
-					if sum.Report == nil || sum.Report.String() != mono.String() {
-						t.Errorf("par=%d: stream report diverges\nstream: %v\nmono:   %v", par, sum.Report, mono)
-					}
-					if sum.Report.Checked != mono.Checked || sum.Report.Pruned != mono.Pruned {
-						t.Errorf("par=%d: checked/pruned %d/%d, monolithic %d/%d",
-							par, sum.Report.Checked, sum.Report.Pruned, mono.Checked, mono.Pruned)
-					}
-					checkAscending(t, fmt.Sprintf("par=%d", par), bench.Programs, got)
+				got, sum := collectStream(t, bench, cfg, analysis.StreamOptions{})
+				total := (1 << len(bench.Programs)) - 1
+				if len(got) != total || sum.Emitted != total {
+					t.Fatalf("emitted %d/%d verdicts, want %d", len(got), sum.Emitted, total)
 				}
+				if sum.Terminated || sum.Reason != "" {
+					t.Errorf("full stream reported termination: %+v", sum)
+				}
+				for _, v := range got {
+					key := analysis.Subset(v.Programs).String()
+					if v.Robust != robustByKey[key] {
+						t.Errorf("%s robust=%t, monolithic says %t", key, v.Robust, robustByKey[key])
+					}
+					if len(v.Programs) != v.Size {
+						t.Errorf("%s size %d", key, v.Size)
+					}
+				}
+				if sum.Report == nil || sum.Report.String() != mono.String() {
+					t.Errorf("stream report diverges\nstream: %v\nmono:   %v", sum.Report, mono)
+				}
+				if sum.Report.Checked != mono.Checked || sum.Report.Pruned != mono.Pruned {
+					t.Errorf("checked/pruned %d/%d, monolithic %d/%d",
+						sum.Report.Checked, sum.Report.Pruned, mono.Checked, mono.Pruned)
+				}
+				checkAscending(t, bench.Name, bench.Programs, got)
 			})
 		}
 	}
@@ -113,8 +109,8 @@ func checkAscending(t *testing.T, name string, programs []*btp.Program, got []an
 // the emitted sequence is a strict prefix of the full stream's, everything
 // before the last verdict is robust, and by level order the terminal subset
 // is a smallest non-robust one. A selection with no non-robust subset (the
-// wide benchmarks under foreign keys) streams to completion, through levels
-// the worker pool decides, in the full stream's order.
+// wide benchmarks under foreign keys) streams to completion in the full
+// stream's order.
 func TestStreamFirstNonRobust(t *testing.T) {
 	type streamCase struct {
 		bench *benchmarks.Benchmark
@@ -125,9 +121,8 @@ func TestStreamFirstNonRobust(t *testing.T) {
 		cases = append(cases, streamCase{bench, analysis.DefaultConfig()})
 	}
 	for _, c := range cases {
-		cfg := c.cfg
-		cfg.Parallelism = 1
-		full, _ := collectStream(t, c.bench, cfg, analysis.StreamOptions{})
+		name := c.bench.Name
+		full, _ := collectStream(t, c.bench, c.cfg, analysis.StreamOptions{})
 		want, stops := full, false
 		for i, v := range full {
 			if !v.Robust {
@@ -135,34 +130,30 @@ func TestStreamFirstNonRobust(t *testing.T) {
 				break
 			}
 		}
-		for _, par := range []int{1, 8} {
-			cfg.Parallelism = par
-			name := fmt.Sprintf("%s par=%d", c.bench.Name, par)
-			got, sum := collectStream(t, c.bench, cfg, analysis.StreamOptions{Mode: analysis.StreamFirstNonRobust})
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: emitted sequence is not the full stream's prefix up to the first non-robust verdict:\ngot:  %v\nwant: %v",
-					name, got, want)
-				continue
+		got, sum := collectStream(t, c.bench, c.cfg, analysis.StreamOptions{Mode: analysis.StreamFirstNonRobust})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: emitted sequence is not the full stream's prefix up to the first non-robust verdict:\ngot:  %v\nwant: %v",
+				name, got, want)
+			continue
+		}
+		if !stops {
+			if sum.Terminated || sum.Report == nil {
+				t.Errorf("%s: robust selection terminated=%t report=%v, want a complete stream", name, sum.Terminated, sum.Report)
 			}
-			if !stops {
-				if sum.Terminated || sum.Report == nil {
-					t.Errorf("%s: robust selection terminated=%t report=%v, want a complete stream", name, sum.Terminated, sum.Report)
-				}
-				continue
+			continue
+		}
+		if !sum.Terminated || sum.Reason != analysis.ReasonFirstNonRobust {
+			t.Fatalf("%s: terminated=%t reason=%q", name, sum.Terminated, sum.Reason)
+		}
+		last := got[len(got)-1]
+		for _, v := range full {
+			if !v.Robust && v.Size < last.Size {
+				t.Errorf("%s: terminal subset %v (size %d) is not a smallest non-robust one (%v is smaller)",
+					name, last.Programs, last.Size, v.Programs)
 			}
-			if !sum.Terminated || sum.Reason != analysis.ReasonFirstNonRobust {
-				t.Fatalf("%s: terminated=%t reason=%q", name, sum.Terminated, sum.Reason)
-			}
-			last := got[len(got)-1]
-			for _, v := range full {
-				if !v.Robust && v.Size < last.Size {
-					t.Errorf("%s: terminal subset %v (size %d) is not a smallest non-robust one (%v is smaller)",
-						name, last.Programs, last.Size, v.Programs)
-				}
-			}
-			if sum.Report != nil {
-				t.Errorf("%s: early-terminated stream carries a report", name)
-			}
+		}
+		if sum.Report != nil {
+			t.Errorf("%s: early-terminated stream carries a report", name)
 		}
 	}
 }
@@ -173,37 +164,35 @@ func TestStreamFirstNonRobust(t *testing.T) {
 // oracle is the monolithic report.
 func TestStreamMaximalRobustAndTopK(t *testing.T) {
 	for _, bench := range append(fixedBenchmarks(), wideBenchmarks()...) {
-		mono, err := analysis.NewSession(bench.Schema).RobustSubsets(bench.Programs, analysis.Config{Parallelism: 4})
+		cfg := analysis.Config{}
+		mono, err := analysis.NewSession(bench.Schema).RobustSubsets(bench.Programs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, _ := collectStream(t, bench, analysis.Config{Parallelism: 1}, analysis.StreamOptions{})
+		full, _ := collectStream(t, bench, cfg, analysis.StreamOptions{})
 		var robustFull []analysis.StreamVerdict
 		for _, v := range full {
 			if v.Robust {
 				robustFull = append(robustFull, v)
 			}
 		}
-		for _, par := range []int{1, 8} {
-			cfg := analysis.Config{Parallelism: par}
-			got, sum := collectStream(t, bench, cfg, analysis.StreamOptions{Mode: analysis.StreamMaximalRobust})
-			if !reflect.DeepEqual(got, robustFull) {
-				t.Errorf("%s par=%d: maximal-robust mode emitted %d verdicts, not the full stream's %d robust ones in order",
-					bench.Name, par, len(got), len(robustFull))
-			}
-			if len(got) != len(mono.Robust) {
-				t.Errorf("%s par=%d: emitted %d robust subsets, monolithic has %d", bench.Name, par, len(got), len(mono.Robust))
-			}
-			if sum.Report == nil || !reflect.DeepEqual(sum.Report.Maximal, mono.Maximal) {
-				t.Errorf("%s par=%d: maximal sets diverge:\nstream: %v\nmono:   %v", bench.Name, par, sum.Report, mono.Maximal)
-			}
+		got, sum := collectStream(t, bench, cfg, analysis.StreamOptions{Mode: analysis.StreamMaximalRobust})
+		if !reflect.DeepEqual(got, robustFull) {
+			t.Errorf("%s: maximal-robust mode emitted %d verdicts, not the full stream's %d robust ones in order",
+				bench.Name, len(got), len(robustFull))
+		}
+		if len(got) != len(mono.Robust) {
+			t.Errorf("%s: emitted %d robust subsets, monolithic has %d", bench.Name, len(got), len(mono.Robust))
+		}
+		if sum.Report == nil || !reflect.DeepEqual(sum.Report.Maximal, mono.Maximal) {
+			t.Errorf("%s: maximal sets diverge:\nstream: %v\nmono:   %v", bench.Name, sum.Report, mono.Maximal)
+		}
 
-			const k = 3
-			_, sum = collectStream(t, bench, cfg, analysis.StreamOptions{Mode: analysis.StreamTopK, K: k})
-			want := topKOracle(mono.Robust, k)
-			if !reflect.DeepEqual(sum.TopK, want) {
-				t.Errorf("%s par=%d: top-%d diverges:\nstream: %v\nwant:   %v", bench.Name, par, k, sum.TopK, want)
-			}
+		const k = 3
+		_, sum = collectStream(t, bench, cfg, analysis.StreamOptions{Mode: analysis.StreamTopK, K: k})
+		want := topKOracle(mono.Robust, k)
+		if !reflect.DeepEqual(sum.TopK, want) {
+			t.Errorf("%s: top-%d diverges:\nstream: %v\nwant:   %v", bench.Name, k, sum.TopK, want)
 		}
 	}
 
@@ -234,19 +223,31 @@ func topKOracle(robust []analysis.Subset, k int) []analysis.Subset {
 	return out
 }
 
-// TestStreamMaxSubsets: the budget caps emission in any mode and the
-// emitted sequence stays the deterministic prefix.
+// TestStreamMaxSubsets: the budget caps emission in any mode, the emitted
+// sequence stays the deterministic prefix, and the summary counts exactly
+// the emitted masks as checked or pruned — also on Auction(4) under
+// attr+FK, whose robust full selection the walk's probe decides before
+// level 1.
 func TestStreamMaxSubsets(t *testing.T) {
-	bench := benchmarks.SmallBank()
-	cfg := analysis.Config{Parallelism: 1}
-	full, _ := collectStream(t, bench, cfg, analysis.StreamOptions{})
 	const budget = 5
-	got, sum := collectStream(t, bench, cfg, analysis.StreamOptions{MaxSubsets: budget})
-	if !sum.Terminated || sum.Reason != analysis.ReasonMaxSubsets || sum.Emitted != budget {
-		t.Fatalf("terminated=%t reason=%q emitted=%d", sum.Terminated, sum.Reason, sum.Emitted)
-	}
-	if !reflect.DeepEqual(got, full[:budget]) {
-		t.Errorf("budgeted emission is not the full stream's prefix:\ngot:  %v\nwant: %v", got, full[:budget])
+	for _, c := range []struct {
+		bench *benchmarks.Benchmark
+		cfg   analysis.Config
+	}{
+		{benchmarks.SmallBank(), analysis.Config{}},
+		{benchmarks.AuctionN(4), analysis.DefaultConfig()},
+	} {
+		full, _ := collectStream(t, c.bench, c.cfg, analysis.StreamOptions{})
+		got, sum := collectStream(t, c.bench, c.cfg, analysis.StreamOptions{MaxSubsets: budget})
+		if !sum.Terminated || sum.Reason != analysis.ReasonMaxSubsets || sum.Emitted != budget {
+			t.Fatalf("%s: terminated=%t reason=%q emitted=%d", c.bench.Name, sum.Terminated, sum.Reason, sum.Emitted)
+		}
+		if !reflect.DeepEqual(got, full[:budget]) {
+			t.Errorf("%s: budgeted emission is not the full stream's prefix:\ngot:  %v\nwant: %v", c.bench.Name, got, full[:budget])
+		}
+		if sum.Checked+sum.Pruned != sum.Emitted {
+			t.Errorf("%s: checked %d + pruned %d != emitted %d", c.bench.Name, sum.Checked, sum.Pruned, sum.Emitted)
+		}
 	}
 }
 
@@ -260,7 +261,7 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 	boom := errors.New("client went away")
 	emitted := 0
 	_, err := sess.RobustSubsetsStream(context.Background(), bench.Programs,
-		analysis.Config{Parallelism: 1}, analysis.StreamOptions{},
+		analysis.Config{}, analysis.StreamOptions{},
 		func(analysis.StreamVerdict) error {
 			emitted++
 			if emitted == 2 {
@@ -281,39 +282,37 @@ func TestStreamEmitErrorAborts(t *testing.T) {
 // the walk with the context's error; the verdicts emitted before the cancel
 // are the full stream's prefix, none follows it, and the detector does not
 // finish the lattice. The wide benchmarks cancel halfway through the
-// lattice, inside a level the worker pool decides at Parallelism 8.
+// lattice.
 func TestStreamContextCancel(t *testing.T) {
 	for _, bench := range append([]*benchmarks.Benchmark{benchmarks.SmallBank()}, wideBenchmarks()...) {
+		name := bench.Name
 		total := (1 << len(bench.Programs)) - 1
 		cancelAt := 3
 		if len(bench.Programs) >= 8 {
 			cancelAt = total / 2
 		}
-		full, _ := collectStream(t, bench, analysis.Config{Parallelism: 1}, analysis.StreamOptions{})
-		for _, par := range []int{1, 8} {
-			name := fmt.Sprintf("%s par=%d", bench.Name, par)
-			sess := analysis.NewSession(bench.Schema)
-			ctx, cancel := context.WithCancel(context.Background())
-			var got []analysis.StreamVerdict
-			_, err := sess.RobustSubsetsStream(ctx, bench.Programs,
-				analysis.Config{Parallelism: par}, analysis.StreamOptions{},
-				func(v analysis.StreamVerdict) error {
-					got = append(got, v)
-					if len(got) == cancelAt {
-						cancel()
-					}
-					return nil
-				})
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s: err = %v, want context.Canceled", name, err)
-			}
-			if len(got) != cancelAt || !reflect.DeepEqual(got, full[:cancelAt]) {
-				t.Errorf("%s: emitted %d verdicts, want the full stream's first %d", name, len(got), cancelAt)
-			}
-			if misses := sess.Stats().Cores.Misses; misses >= uint64(total) {
-				t.Errorf("%s: cancelled stream ran the detector %d times", name, misses)
-			}
+		full, _ := collectStream(t, bench, analysis.Config{}, analysis.StreamOptions{})
+		sess := analysis.NewSession(bench.Schema)
+		ctx, cancel := context.WithCancel(context.Background())
+		var got []analysis.StreamVerdict
+		_, err := sess.RobustSubsetsStream(ctx, bench.Programs,
+			analysis.Config{}, analysis.StreamOptions{},
+			func(v analysis.StreamVerdict) error {
+				got = append(got, v)
+				if len(got) == cancelAt {
+					cancel()
+				}
+				return nil
+			})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if len(got) != cancelAt || !reflect.DeepEqual(got, full[:cancelAt]) {
+			t.Errorf("%s: emitted %d verdicts, want the full stream's first %d", name, len(got), cancelAt)
+		}
+		if misses := sess.Stats().Cores.Misses; misses >= uint64(total) {
+			t.Errorf("%s: cancelled stream ran the detector %d times", name, misses)
 		}
 	}
 }

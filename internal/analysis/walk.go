@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/btp"
@@ -33,32 +31,36 @@ import (
 // Processing strictly by subset size makes the pruning complete and
 // deterministic: at the start of level k the walk's core set holds exactly
 // the minimal non-robust program sets of size < k (plus any seeds), so
-// every non-robust mask with a non-robust proper subset is pruned, every
-// mask the detector does see and rejects is itself minimal, and the pruned
-// count is independent of worker count or scheduling. Cores discovered
-// within a level have size k and therefore cannot prune other size-k masks,
-// so workers collect them in per-worker lists and the walk's goroutine
-// inserts them at the level barrier: workers only read the antichains, and
-// no lock or atomic guards them.
+// every non-robust mask with a non-robust proper subset is pruned and every
+// mask the detector does see and rejects is itself minimal. A core minted
+// at level k has k programs and decides no other mask of its level, so the
+// walk inserts it at once without changing any verdict of that level.
+//
+// Robustness is closed under subsets, so before level 1 the walk runs the
+// detector once on the full selection when no seeded fact decides it: a
+// robust verdict makes the full mask the walk's cover and decides every
+// other mask by containment — one detector run for the whole lattice of a
+// robust selection such as Auction(n) under foreign keys. A non-robust
+// verdict is discarded and counts nowhere; the bottom-up walk mints the
+// minimal cores it implies.
+//
+// The walk runs on its caller's goroutine with one detector scratch; a
+// panic anywhere in it returns as a *PanicError.
 //
 // Every walk, collecting (RobustSubsetsCtx) or streaming
 // (RobustSubsetsStream), visits each level in ascending mask order and has
 // one detector: Graph.RobustWitness over the subset's node mask on the
-// selection's memoized universe graph. The first detector miss fetches or
-// composes that graph, so a walk that containment decides entirely — a
-// warm session, or one seeded from restored facts — composes nothing; a
-// cold stream's first detector verdict waits for the compose.
+// selection's memoized universe graph. The first detector run — the probe,
+// on a cold walk — fetches or composes that graph, so a walk that
+// containment decides entirely — a warm session, or one seeded from
+// restored facts — composes nothing; a cold stream's first verdict waits
+// for the compose and the probe.
 
 // MaxSubsetPrograms is the largest program selection a subset enumeration
 // accepts: the lattice has 2^n − 1 subsets, so 20 programs is already a
 // million-subset walk. The engine, the naive oracle and the server's
 // subsets endpoints all enforce this one limit.
 const MaxSubsetPrograms = 20
-
-// latticeParallelMin is the level size below which the level runs inline —
-// goroutine handoff costs more than a few dozen detector calls, and the
-// paper's benchmarks (n ≤ 9) never leave the inline regime.
-const latticeParallelMin = 64
 
 // Per-mask entries of the walk's decision table: how the mask was decided,
 // which also fixes its verdict.
@@ -100,42 +102,31 @@ type walker struct {
 	// current level's masks in ascending order.
 	decided []uint8
 	levels  []int32
-	workers []walkWorker
 
-	// The detector's graph over all (the selection's LTPs in program
-	// order), fetched or composed from sess under once by the first miss.
-	sess        *Session
-	all         []*btp.LTP
-	once        sync.Once
-	universe    *summary.Graph
-	universeErr error
+	// The detector: the graph over all (the selection's LTPs in program
+	// order), fetched or composed from sess by the first miss together with
+	// its scratch and membership bitset, so a fully warm walk allocates none
+	// of them.
+	sess     *Session
+	all      []*btp.LTP
+	universe *summary.Graph
+	scratch  *summary.DetectScratch
+	members  []uint64
+
+	// coreHits and coverHits count the masks containment decided, misses
+	// the masks the detector decided, each where the level loop reaches
+	// it: a walk cut short counts only the masks it visited.
+	coreHits, coverHits, misses int
 
 	// emit is the verdict callback; nil for a collecting walk. start anchors
 	// the first_verdict span when the config carries a tracer; emittedFirst
-	// flips after it fires (emission is single-goroutine).
+	// flips after it fires.
 	opts         StreamOptions
 	emit         func(StreamVerdict) error
 	start        time.Time
 	emittedFirst bool
 
-	// bail flips when a non-robust verdict lands, so first_non_robust
-	// workers stop pulling masks.
-	bail atomic.Bool
-
 	sum StreamSummary
-}
-
-// walkWorker is one worker's reusable buffers and counters, kept across
-// levels; the detector scratch and membership bitset are allocated on the
-// worker's first detector run, so a fully warm walk allocates neither.
-// found holds the cores the worker minted in the current level until the
-// level barrier inserts them.
-type walkWorker struct {
-	members []uint64
-	scratch *summary.DetectScratch
-	found   []uint32
-
-	coreHits, coverHits, misses int
 }
 
 // walkLattice runs one lattice walk over the selection: a collecting walk
@@ -162,7 +153,6 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 		t0 = time.Now()
 	}
 	words := (len(all) + 63) / 64
-	widest := binomial(n, n/2)
 	w := &walker{
 		cfg:         cfg,
 		programs:    programs,
@@ -171,8 +161,7 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 		words:       words,
 		covers:      antichain{up: true},
 		decided:     make([]uint8, 1<<n),
-		levels:      make([]int32, 0, widest),
-		workers:     make([]walkWorker, max(1, min(cfg.parallelism(), widest))),
+		levels:      make([]int32, 0, binomial(n, n/2)),
 		sess:        s,
 		all:         all,
 		opts:        opts,
@@ -182,38 +171,33 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 	k := coreKey{setting: cfg.Setting, method: cfg.Method, bound: cfg.bound()}
 	s.seedWalk(k, programs, &w.cores, &w.covers)
 
-	err = w.walk(ctx)
+	err = w.run(ctx)
 	// However the walk exits, the work it did reaches the session
 	// telemetry and its discoveries the fact store: cores minted before a
 	// cancel, a callback error or an early termination are valid facts,
-	// and a retry seeds from them instead of re-discovering them.
-	w.publish()
-	var coreHits, coverHits, misses int
-	for i := range w.workers {
-		ws := &w.workers[i]
-		coreHits, coverHits, misses = coreHits+ws.coreHits, coverHits+ws.coverHits, misses+ws.misses
-	}
-	// Only a complete walk folds covers — a terminated walk's skipped masks
+	// and a retry seeds from them instead of re-discovering them. Only a
+	// complete walk folds covers — a terminated walk's skipped masks
 	// are undecided — and only one that ran the detector has robust
 	// verdicts no stored cover already decides (the warm steady state has
 	// none).
 	complete := err == nil && (!w.sum.Terminated || w.sum.Reason == ReasonLevelExhausted)
-	if complete && misses > 0 {
+	if complete && w.misses > 0 {
 		w.foldCovers()
 	}
-	s.coreHits.Add(uint64(coreHits))
-	s.coverHits.Add(uint64(coverHits))
-	s.coreMisses.Add(uint64(misses))
-	s.subsetsPruned.Add(uint64(coreHits + coverHits))
+	s.coreHits.Add(uint64(w.coreHits))
+	s.coverHits.Add(uint64(w.coverHits))
+	s.coreMisses.Add(uint64(w.misses))
+	s.subsetsPruned.Add(uint64(w.coreHits + w.coverHits))
 	if w.discovered {
 		s.mergeWalk(k, programs, &w.cores, &w.covers)
 	}
 	if err != nil {
 		return nil, err
 	}
-	w.sum.Checked = misses
-	w.sum.Pruned = coreHits + coverHits
+	w.sum.Checked = w.misses
+	w.sum.Pruned = w.coreHits + w.coverHits
 	w.sum.Cores = len(w.cores.facts)
+	w.sum.NewFacts = w.discovered
 	if complete {
 		if w.sum.Report, err = w.report(ctx); err != nil {
 			return nil, err
@@ -225,66 +209,66 @@ func (s *Session) walkLattice(ctx context.Context, programs []*btp.Program, cfg 
 	return &w.sum, nil
 }
 
+// run probes the full selection, then walks the levels. A panic anywhere
+// in the walk — the detector, a tracer, the verdict callback — returns as
+// a *PanicError, so a server answers it like any other engine error.
+func (w *walker) run(ctx context.Context) (err error) {
+	defer CapturePanic(&err)
+	if err := w.probe(ctx); err != nil {
+		return err
+	}
+	return w.walk(ctx)
+}
+
+// probe runs the detector on the full selection when no seeded fact decides
+// it. A robust verdict decides the full mask and becomes the walk's cover,
+// so containment decides every other mask; a non-robust one is discarded.
+// The run counts when the level loop reaches the full mask.
+func (w *walker) probe(ctx context.Context) error {
+	full := uint32(1)<<w.n - 1
+	if full == 0 || w.cores.decides(full) || w.covers.decides(full) {
+		return nil
+	}
+	robust, _, err := w.detect(ctx, int(full))
+	if err != nil || !robust {
+		return err
+	}
+	w.decided[full] = dRobust
+	if w.covers.add(full, false) {
+		w.discovered = true
+	}
+	return nil
+}
+
 // walk runs the level loop: list the level's masks in ascending order,
-// decide them sequentially or on the worker pool, emit in that order, and
-// evaluate termination at the level barrier.
+// decide and emit each in turn, and evaluate level termination when the
+// level ends.
 func (w *walker) walk(ctx context.Context) error {
 	for level := 1; level <= w.n; level++ {
 		var levelStart time.Time
 		if w.cfg.Tracer != nil {
 			levelStart = time.Now()
 		}
-		masks := levelMasks(w.levels, w.n, level)
-		w.levels = masks
-		lw := min(len(w.workers), len(masks))
-		if len(masks) < latticeParallelMin {
-			lw = 1
-		}
-		if lw <= 1 {
-			// Sequential: emit each verdict the moment it is decided, so
-			// termination stops the walk mid-level without touching the
-			// remaining masks.
-			for _, mask := range masks {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if err := w.process(ctx, int(mask), &w.workers[0]); err != nil {
-					return err
-				}
-				if stop, err := w.emitMask(int(mask)); stop || err != nil {
-					return err
-				}
-			}
-		} else {
-			// Parallel: the level is decided by the worker pool first (the
-			// level barrier needs every verdict anyway), then emitted in
-			// mask order — the same emission sequence the sequential walk
-			// produces.
-			if err := w.decideParallel(ctx, masks, lw); err != nil {
+		w.levels = levelMasks(w.levels, w.n, level)
+		// Each verdict is emitted the moment it is decided, so termination
+		// stops the walk mid-level without touching the remaining masks.
+		for _, mask := range w.levels {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
-			for _, mask := range masks {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if w.decided[mask] == dUndecided {
-					continue // skipped by a first_non_robust bail
-				}
-				if stop, err := w.emitMask(int(mask)); stop || err != nil {
-					return err
-				}
+			if err := w.process(ctx, int(mask)); err != nil {
+				return err
+			}
+			if stop, err := w.emitMask(int(mask)); stop || err != nil {
+				return err
 			}
 		}
-		// The level barrier: supersets are only examined once every smaller
-		// mask's verdict (and core) is published. It is the pruning's
-		// determinism and completeness argument, so it must not be elided.
-		w.publish()
 		if tr := w.cfg.Tracer; tr != nil {
 			tr.Span(obs.PhaseLatticeLevel, time.Since(levelStart))
 		}
 		if w.opts.Mode == StreamMaximalRobust || w.opts.Mode == StreamTopK {
 			robustInLevel := false
-			for _, mask := range masks {
+			for _, mask := range w.levels {
 				if robustDecision(w.decided[mask]) {
 					robustInLevel = true
 					break
@@ -300,60 +284,26 @@ func (w *walker) walk(ctx context.Context) error {
 	return nil
 }
 
-// decideParallel decides one level's masks on lw pool workers pulling from
-// an atomic counter. first_non_robust lets workers bail as soon as any
-// non-robust verdict lands; the masks they skip stay undecided.
-func (w *walker) decideParallel(ctx context.Context, masks []int32, lw int) error {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, lw)
-	for i := 0; i < lw; i++ {
-		wg.Add(1)
-		go func(ws *walkWorker, slot *error) {
-			defer wg.Done()
-			defer capturePanic(slot)
-			for ctx.Err() == nil && !(w.opts.Mode == StreamFirstNonRobust && w.bail.Load()) {
-				j := int(next.Add(1)) - 1
-				if j >= len(masks) {
-					return
-				}
-				if err := w.process(ctx, int(masks[j]), ws); err != nil {
-					*slot = err
-					return
-				}
-			}
-		}(&w.workers[i], &errs[i])
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// process decides one mask on a worker's buffers: the core scan
-// (non-robust supersets) and the cover scan (robust subsets) first, the
-// detector only when neither knows, witness minimization on a fresh
-// non-robust discovery.
-func (w *walker) process(ctx context.Context, mask int, ws *walkWorker) error {
-	if w.cores.decides(uint32(mask)) {
-		ws.coreHits++
-		w.decided[mask] = dCore
-		w.bail.Store(true)
+// process decides one mask: the full mask the probe decided counts its
+// detector run; then the core scan (non-robust supersets) and the cover
+// scan (robust subsets), the detector only when neither knows, and witness
+// minimization on a fresh non-robust discovery.
+func (w *walker) process(ctx context.Context, mask int) error {
+	switch {
+	case w.decided[mask] != dUndecided:
+		w.misses++
 		return nil
-	}
-	if w.covers.decides(uint32(mask)) {
-		ws.coverHits++
+	case w.cores.decides(uint32(mask)):
+		w.coreHits++
+		w.decided[mask] = dCore
+		return nil
+	case w.covers.decides(uint32(mask)):
+		w.coverHits++
 		w.decided[mask] = dCover
 		return nil
 	}
-	ws.misses++
-	robust, wmask, err := w.detect(ctx, mask, ws)
+	w.misses++
+	robust, wmask, err := w.detect(ctx, mask)
 	if err != nil {
 		return err
 	}
@@ -366,49 +316,29 @@ func (w *walker) process(ctx context.Context, mask int, ws *walkWorker) error {
 		return nil
 	}
 	w.decided[mask] = dNonRobust
-	w.bail.Store(true)
-	ws.found = append(ws.found, minimizeCore(w.decided, wmask, w.programMask))
+	if w.cores.add(minimizeCore(w.decided, wmask, w.programMask), false) {
+		w.discovered = true
+	}
 	return nil
 }
 
-// publish inserts the cores the workers minted into the walk's core set.
-// It runs on the walk's goroutine at the level barrier (and once more when
-// the walk exits mid-level): a core minted at level k has k programs, so it
-// cannot decide another mask of its own level, and holding it back until
-// the barrier changes no verdict.
-func (w *walker) publish() {
-	for i := range w.workers {
-		ws := &w.workers[i]
-		for _, m := range ws.found {
-			if w.cores.add(m, false) {
-				w.discovered = true
-			}
-		}
-		ws.found = ws.found[:0]
-	}
-}
-
-// detect decides one miss on the selection's universe graph and returns
+// detect decides one mask on the selection's universe graph and returns
 // the verdict plus, when non-robust, the witness cycle's node mask.
-func (w *walker) detect(ctx context.Context, mask int, ws *walkWorker) (bool, []uint64, error) {
-	// Workers of a parallel level that miss first together wait for the
-	// one fetch or compose.
-	w.once.Do(func() { w.universe, w.universeErr = w.sess.universeGraph(ctx, w.cfg, w.programs, w.all) })
-	if w.universeErr != nil {
-		return false, nil, w.universeErr
+func (w *walker) detect(ctx context.Context, mask int) (bool, []uint64, error) {
+	if w.universe == nil {
+		g, err := w.sess.universeGraph(ctx, w.cfg, w.programs, w.all)
+		if err != nil {
+			return false, nil, err
+		}
+		w.universe, w.scratch, w.members = g, g.NewScratch(), make([]uint64, w.words)
 	}
-	g := w.universe
-	if ws.scratch == nil {
-		ws.scratch = g.NewScratch()
-		ws.members = make([]uint64, w.words)
-	}
-	w.fillMembers(ws.members, mask)
+	w.fillMembers(w.members, mask)
 	tr := w.cfg.Tracer
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	ok, wmask := g.RobustWitness(w.cfg.Method, ws.members, ws.scratch)
+	ok, wmask := w.universe.RobustWitness(w.cfg.Method, w.members, w.scratch)
 	if tr != nil {
 		tr.Span(obs.PhaseDetect, time.Since(t0))
 	}

@@ -28,47 +28,102 @@ import (
 //   - a full streaming walk (the same walk with a verdict callback) on a
 //     fresh session must report exactly what the collecting walk reports
 //     — Checked, Pruned, Cores and CertifiedCores included — both on cold
-//     sessions and on sessions seeded with a certified core.
+//     sessions and on sessions seeded with a certified core;
+//   - every complete walk decides each of the 2^n − 1 subsets once:
+//     Checked + Pruned == 2^n − 1.
 //
 // A second sweep takes the first eight-program workloads the generator
-// produces: their level of C(8,4) = 70 masks runs on the worker pool, so
-// the parallel level path is held to the same checks.
+// produces, whose lattices are four times wider.
 func TestWalkRandomWorkloads(t *testing.T) {
 	seeds, wide := 200, 4
 	if testing.Short() {
 		seeds, wide = 40, 1
 	}
-	sweep := func(seed int, w *workload.RandomWorkload, par int) {
+	sweep := func(seed int, w *workload.RandomWorkload) {
 		for _, setting := range summary.AllSettings {
 			for _, method := range methods {
-				cfg := analysis.Config{Setting: setting, Method: method, Parallelism: par}
-				name := fmt.Sprintf("seed %d (%d programs) %s/%s par=%d", seed, len(w.Programs), setting, method, par)
+				cfg := analysis.Config{Setting: setting, Method: method}
+				name := fmt.Sprintf("seed %d (%d programs) %s/%s", seed, len(w.Programs), setting, method)
 				checkRandomWalk(t, name, w.Schema, w.Programs, cfg)
 			}
 		}
 	}
 	for seed := 0; seed < seeds; seed++ {
-		w := workload.RandomBTPs(rand.New(rand.NewSource(int64(seed))), workload.RandomOptions{MaxPrograms: 6})
-		sweep(seed, w, 1+seed%2)
+		sweep(seed, workload.RandomBTPs(rand.New(rand.NewSource(int64(seed))), workload.RandomOptions{MaxPrograms: 6}))
 	}
 	for seed, found := 0, 0; found < wide; seed++ {
 		w := workload.RandomBTPs(rand.New(rand.NewSource(int64(seed))), workload.RandomOptions{MaxPrograms: 8})
 		if len(w.Programs) == 8 {
 			found++
-			sweep(seed, w, 4)
+			sweep(seed, w)
 		}
 	}
 }
 
-// TestWalkFirstMissOnParallelLevel: a walk whose first detector miss lands
-// on a level the worker pool decides composes the universe graph once,
-// however many workers miss together, and streams what a cold walk
-// reports, in ascending mask order. Imported facts decide levels 1–3 of
-// Auction(4)'s eight programs, so the first misses are among level 4's 70
-// masks.
-func TestWalkFirstMissOnParallelLevel(t *testing.T) {
+// TestWalkProbe: before level 1 the walk runs the detector once on the
+// full selection. Auction(6) under attr+FK is robust, so one detector run
+// decides all 4,095 subsets and the report is still the naive oracle's.
+// SmallBank and TPC-C have no robust full selection in any setting, so
+// the probe's verdict is discarded and every cell keeps the counts the
+// bottom-up walk alone reaches.
+func TestWalkProbe(t *testing.T) {
+	bench := benchmarks.AuctionN(6)
+	cfg := analysis.DefaultConfig()
+	rep, err := analysis.NewSession(bench.Schema).RobustSubsets(bench.Programs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Checked != 1 || rep.Pruned != 4094 {
+		t.Errorf("cold Auction(6) attr+FK type-II walk: checked=%d pruned=%d, want 1/4094", rep.Checked, rep.Pruned)
+	}
+	oracle := robust.NewChecker(bench.Schema)
+	want, err := oracle.NaiveRobustSubsets(bench.Programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Robust, want.Robust) || !reflect.DeepEqual(rep.Maximal, want.Maximal) {
+		t.Errorf("probed walk diverges from the naive oracle\nwalk:   %v\noracle: %v", rep.Maximal, want.Maximal)
+	}
+
+	// Checked/pruned per setting, type-II then type-I.
+	counts := map[string]map[summary.Setting][2][2]int{
+		"SmallBank": {
+			summary.SettingTplDep:    {{13, 18}, {12, 19}},
+			summary.SettingAttrDep:   {{13, 18}, {12, 19}},
+			summary.SettingTplDepFK:  {{13, 18}, {12, 19}},
+			summary.SettingAttrDepFK: {{13, 18}, {12, 19}},
+		},
+		"TPC-C": {
+			summary.SettingTplDep:    {{8, 23}, {8, 23}},
+			summary.SettingAttrDep:   {{8, 23}, {8, 23}},
+			summary.SettingTplDepFK:  {{8, 23}, {8, 23}},
+			summary.SettingAttrDepFK: {{12, 19}, {11, 20}},
+		},
+	}
+	for _, bench := range []*benchmarks.Benchmark{benchmarks.SmallBank(), benchmarks.TPCC()} {
+		for _, setting := range summary.AllSettings {
+			for i, method := range methods {
+				rep, err := analysis.NewSession(bench.Schema).RobustSubsets(bench.Programs, analysis.Config{Setting: setting, Method: method})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := counts[bench.Name][setting][i]
+				if got := [2]int{rep.Checked, rep.Pruned}; got != want {
+					t.Errorf("%s %s %s: checked/pruned %v, want %v", bench.Name, setting, method, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWalkFirstMissOnDeepLevel: a walk whose first detector miss lands on
+// a deep level composes the universe graph once and streams what a cold
+// walk reports, in ascending mask order. Imported facts decide levels 1–3
+// of Auction(4)'s eight programs, so the first misses are among level 4's
+// 70 masks.
+func TestWalkFirstMissOnDeepLevel(t *testing.T) {
 	bench := benchmarks.AuctionN(4)
-	cfg := analysis.Config{Parallelism: 8}
+	cfg := analysis.Config{}
 	cold := analysis.NewSession(bench.Schema)
 	want, err := cold.RobustSubsets(bench.Programs, cfg)
 	if err != nil {
@@ -109,7 +164,7 @@ func TestWalkFirstMissOnParallelLevel(t *testing.T) {
 	}
 	checkAscending(t, "seeded stream", bench.Programs, got)
 	if detected == 0 {
-		t.Fatal("no detector run: the fixture no longer reaches a parallel first miss")
+		t.Fatal("no detector run: the fixture no longer reaches a deep first miss")
 	}
 	if !reflect.DeepEqual(sum.Report.Robust, want.Robust) || !reflect.DeepEqual(sum.Report.Maximal, want.Maximal) {
 		t.Errorf("seeded stream diverges from the cold walk\nstream: %v\ncold:   %v", sum.Report.Robust, want.Robust)
@@ -135,6 +190,10 @@ func checkRandomWalk(t *testing.T, name string, schema *relschema.Schema, progra
 	}
 	if !reflect.DeepEqual(got.Robust, want.Robust) || !reflect.DeepEqual(got.Maximal, want.Maximal) {
 		t.Fatalf("%s: walk diverges from the naive oracle\nwalk:   %v\noracle: %v", name, got.Robust, want.Robust)
+	}
+	total := 1<<len(programs) - 1
+	if got.Checked+got.Pruned != total {
+		t.Fatalf("%s: checked %d + pruned %d, want %d subsets", name, got.Checked, got.Pruned, total)
 	}
 
 	streamed := streamReport(t, name, analysis.NewSession(schema), programs, cfg)
@@ -164,6 +223,9 @@ func checkRandomWalk(t *testing.T, name string, schema *relschema.Schema, progra
 	}
 	if collected.CertifiedCores != 1 {
 		t.Fatalf("%s: seeded walk reports %d certified cores, want 1", name, collected.CertifiedCores)
+	}
+	if collected.Checked+collected.Pruned != total {
+		t.Fatalf("%s: seeded walk checked %d + pruned %d, want %d subsets", name, collected.Checked, collected.Pruned, total)
 	}
 	if streamed := streamReport(t, name, seeded(), programs, cfg); !reflect.DeepEqual(streamed, collected) {
 		t.Fatalf("%s: seeded streaming report diverges\nstream:  %s\ncollect: %s", name, reportShape(streamed), reportShape(collected))

@@ -260,9 +260,10 @@ func SessionInstances(sess *analysis.Session, p *btp.Program, bound int, assign 
 // with that candidate's index (-1 when none does). Every candidate is
 // searched to completion under its own budget, so the result is
 // deterministic regardless of scheduling. This is the constructive
-// complement of the parallel subset enumeration: when the static analysis
-// rejects a set of subsets, their candidate instantiations can be checked
-// for real anomalies in one parallel sweep.
+// complement of the subset enumeration: when the static analysis rejects a
+// set of subsets, their candidate instantiations can be checked for real
+// anomalies in one parallel sweep; its workers are the only goroutines the
+// engine starts.
 func FindAnyCounterexample(schema *relschema.Schema, candidates [][]Instance, parallelism int, opts Options) (*Result, int, error) {
 	return FindAnyCounterexampleCtx(context.Background(), schema, candidates, parallelism, opts)
 }
@@ -270,7 +271,8 @@ func FindAnyCounterexample(schema *relschema.Schema, candidates [][]Instance, pa
 // FindAnyCounterexampleCtx is FindAnyCounterexample under a context: each
 // worker re-checks the context before claiming the next candidate and the
 // per-candidate DFS polls it too, so the whole pool drains promptly on
-// cancellation (returning the context's error).
+// cancellation (returning the context's error). A panic in a worker
+// returns as an *analysis.PanicError instead of ending the process.
 func FindAnyCounterexampleCtx(ctx context.Context, schema *relschema.Schema, candidates [][]Instance, parallelism int, opts Options) (*Result, int, error) {
 	if len(candidates) == 0 {
 		return &Result{Exhausted: true}, -1, nil
@@ -284,13 +286,15 @@ func FindAnyCounterexampleCtx(ctx context.Context, schema *relschema.Schema, can
 	}
 	results := make([]*Result, len(candidates))
 	errs := make([]error, len(candidates))
+	panics := make([]error, workers)
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(slot *error) {
 			defer wg.Done()
+			defer analysis.CapturePanic(slot)
 			for ctx.Err() == nil {
 				i := int(next.Add(1))
 				if i >= len(candidates) {
@@ -298,9 +302,14 @@ func FindAnyCounterexampleCtx(ctx context.Context, schema *relschema.Schema, can
 				}
 				results[i], errs[i] = FindCounterexampleCtx(ctx, schema, candidates[i], opts)
 			}
-		}()
+		}(&panics[w])
 	}
 	wg.Wait()
+	for _, err := range panics {
+		if err != nil {
+			return nil, -1, fmt.Errorf("enumerate: %w", err)
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, -1, err
 	}

@@ -65,6 +65,31 @@ func TestFindAnyCounterexample(t *testing.T) {
 	}
 }
 
+// TestFindAnyCounterexamplePanicSurfacesAsError: a panic inside one
+// candidate's search — certify's only engine goroutines — returns as an
+// *analysis.PanicError from the sweep, which the server answers with a 500
+// of code "panic", instead of ending the process.
+func TestFindAnyCounterexamplePanicSurfacesAsError(t *testing.T) {
+	b := benchmarks.SmallBank()
+	sess := analysis.NewSession(b.Schema)
+	candidates := smallBankCandidates(t, sess, b, [][]string{
+		{"Balance", "DepositChecking"},
+		{"DepositChecking", "WriteCheck"},
+	})
+	// An instance without an LTP panics when the search instantiates it.
+	candidates = append(candidates, []Instance{{}})
+	for _, par := range []int{1, 3} {
+		_, _, err := FindAnyCounterexample(b.Schema, candidates, par, Options{})
+		var pe *analysis.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("parallelism %d: candidate panic surfaced as %v, want *analysis.PanicError", par, err)
+		}
+		if len(pe.Stack) == 0 {
+			t.Errorf("parallelism %d: PanicError carries no worker stack", par)
+		}
+	}
+}
+
 // TestFindAnyCounterexampleNone asserts exhaustion aggregation when no
 // candidate admits an anomaly.
 func TestFindAnyCounterexampleNone(t *testing.T) {

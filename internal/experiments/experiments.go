@@ -25,12 +25,8 @@ import (
 )
 
 // Suite bundles the three fixed benchmarks with their shared analysis
-// sessions and the parallelism used across the analysis.
+// sessions.
 type Suite struct {
-	// Parallelism bounds the subset-enumeration worker pool per cell;
-	// 0 means GOMAXPROCS.
-	Parallelism int
-
 	benchmarks []*benchmarks.Benchmark
 	sessions   map[*benchmarks.Benchmark]*analysis.Session
 }
@@ -141,12 +137,11 @@ func (c SubsetCell) String() string {
 // RobustSubsetsCell computes the maximal robust subsets of a benchmark
 // under one setting and method on a throwaway session.
 func RobustSubsetsCell(b *benchmarks.Benchmark, setting summary.Setting, method summary.Method) (SubsetCell, error) {
-	return subsetsCell(analysis.NewSession(b.Schema), 0, b, setting, method)
+	return subsetsCell(analysis.NewSession(b.Schema), b, setting, method)
 }
 
-func subsetsCell(sess *analysis.Session, parallelism int, b *benchmarks.Benchmark, setting summary.Setting, method summary.Method) (SubsetCell, error) {
-	cfg := analysis.Config{Setting: setting, Method: method, Parallelism: parallelism}
-	rep, err := sess.RobustSubsets(b.Programs, cfg)
+func subsetsCell(sess *analysis.Session, b *benchmarks.Benchmark, setting summary.Setting, method summary.Method) (SubsetCell, error) {
+	rep, err := sess.RobustSubsets(b.Programs, analysis.Config{Setting: setting, Method: method})
 	if err != nil {
 		return SubsetCell{}, fmt.Errorf("experiments: %s under %s: %w", b.Name, setting, err)
 	}
@@ -160,7 +155,7 @@ func (s *Suite) FigureRows(method summary.Method) ([]SubsetCell, error) {
 	var out []SubsetCell
 	for _, setting := range summary.AllSettings {
 		for _, b := range s.benchmarks {
-			cell, err := subsetsCell(s.Session(b), s.Parallelism, b, setting, method)
+			cell, err := subsetsCell(s.Session(b), b, setting, method)
 			if err != nil {
 				return nil, err
 			}
@@ -180,7 +175,7 @@ func FigureRows(method summary.Method, bs ...*benchmarks.Benchmark) ([]SubsetCel
 	var out []SubsetCell
 	for _, setting := range summary.AllSettings {
 		for _, b := range bs {
-			cell, err := subsetsCell(sessions[b], 0, b, setting, method)
+			cell, err := subsetsCell(sessions[b], b, setting, method)
 			if err != nil {
 				return nil, err
 			}

@@ -38,8 +38,8 @@ const (
 )
 
 // Tracer receives phase spans from the engine. Implementations must be safe
-// for concurrent use: lattice levels are processed by parallel workers that
-// all report through the request's tracer.
+// for concurrent use: one tracer may serve concurrent requests, as the
+// server's shared phase histogram does.
 //
 // The no-op default is a nil Tracer: instrumented code branches on nil
 // before calling time.Now, so a disabled tracer adds neither time nor

@@ -9,8 +9,8 @@
 // each program once, caches the pairwise summary-graph edge blocks of
 // Algorithm 1 per setting, and enumerates subsets with the session's one
 // lattice walk — minimal non-robust cores and robust covers decide most
-// subsets by containment, the rest run the cycle detector on a worker pool
-// (Parallelism). The pre-refactor naive path — re-unfold and re-run
+// subsets by containment, the rest run the cycle detector on the calling
+// goroutine. The pre-refactor naive path — re-unfold and re-run
 // Algorithm 1 per subset — is kept as NaiveRobustSubsets, the oracle the
 // equivalence tests compare the engine against.
 package robust
@@ -45,10 +45,6 @@ type Checker struct {
 	// bound of 2 (Proposition 6.1). Exposed for the ablation study only —
 	// bound 1 is unsound in general.
 	UnfoldBound int
-	// Parallelism bounds the worker pool of subset enumeration
-	// (RobustSubsets). 0 means GOMAXPROCS, 1 enumerates on the calling
-	// goroutine.
-	Parallelism int
 	// Tracer receives phase spans from every analysis run through this
 	// Checker; see analysis.Config.Tracer. nil (the default) is the no-op
 	// and costs the hot paths nothing. robustcheck -timings sets a
@@ -94,7 +90,6 @@ func (c *Checker) config() analysis.Config {
 		Setting:     c.Setting,
 		Method:      c.Method,
 		UnfoldBound: c.UnfoldBound,
-		Parallelism: c.Parallelism,
 		Tracer:      c.Tracer,
 	}
 }

@@ -99,7 +99,7 @@ func FuzzServerRequests(f *testing.F) {
 	seed("POST", "/v1/workloads/{id}/check", fuzzTPCC, "", `{"setting": "tpl", "method": "type1", "unfold_bound": 4}`)
 	seed("POST", "/v1/workloads/{id}/check", fuzzSmallBank, "", `{"unfold_bound": 5}`)
 	seed("POST", "/v1/workloads/{id}/subsets", fuzzTPCC, "", ``)
-	seed("POST", "/v1/workloads/{id}/subsets", fuzzSmallBank, "debug=timings", `{"programs": ["Am", "Bal"], "parallelism": 64}`)
+	seed("POST", "/v1/workloads/{id}/subsets", fuzzSmallBank, "debug=timings", `{"programs": ["Am", "Bal"]}`)
 	seed("POST", "/v1/workloads/{id}/subsets:stream", fuzzSmallBank, "", `{"mode": "top_k", "k": 2}`)
 	seed("POST", "/v1/workloads/{id}/subsets:stream", fuzzTPCC, "", `{"mode": "all_maximal_robust", "max_subsets": 3}`)
 	seed("GET", "/v1/workloads/{id}/subsets:stream", fuzzSmallBank, "mode=first_non_robust&programs=Am,Bal", "")

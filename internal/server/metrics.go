@@ -250,9 +250,6 @@ func newMetrics(s *Server) *metrics {
 	r.CounterFunc("mvrc_panics_total",
 		"Recovered panics: HTTP handlers plus engine worker goroutines.",
 		counterOf(&s.panics).load)
-	r.GaugeFunc("mvrc_default_parallelism",
-		"Resolved server-wide worker count for requests without their own.",
-		func() float64 { return float64(effectiveParallelism(s.opts.Parallelism)) })
 
 	// Session-cache aggregates (PreCollect sums the /v1/stats snapshot once
 	// per scrape; these read the sums).

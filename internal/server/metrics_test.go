@@ -117,7 +117,7 @@ func TestMetricsCoversStatsCounters(t *testing.T) {
 		"mvrc_workloads", "mvrc_workloads_size_bytes", "mvrc_max_bytes",
 		"mvrc_workload_evictions_total", "mvrc_workload_evictions_bytes_total",
 		"mvrc_snapshots_loaded", "mvrc_snapshot_persists_total",
-		"mvrc_snapshot_persist_errors_total", "mvrc_default_parallelism",
+		"mvrc_snapshot_persist_errors_total",
 		// Robustness block: flusher retry/degradation, overload shedding
 		// and recovered panics.
 		"mvrc_snapshot_retries_total", "mvrc_snapshot_degraded",
@@ -552,7 +552,6 @@ func TestStatsMetricsParity(t *testing.T) {
 		"mvrc_workload_evictions_bytes_total":      float64(st.EvictionsBytes),
 		"mvrc_snapshots_loaded":                    float64(st.SnapshotsLoaded),
 		"mvrc_snapshot_persist_errors_total":       float64(st.PersistErrors),
-		"mvrc_default_parallelism":                 float64(st.DefaultParallelism),
 		"mvrc_unrealized_candidates_total":         float64(st.UnrealizedCandidates),
 		"mvrc_certified_cores":                     float64(st.CertifiedCores),
 		`mvrc_api_requests_total{kind="register"}`: float64(st.Requests.Register),

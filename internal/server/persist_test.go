@@ -524,6 +524,35 @@ func TestWalksPersistOnlyNewFacts(t *testing.T) {
 	}
 }
 
+// TestCutShortStreamPersistsProbeCover: a stream over a robust selection
+// that max_subsets cuts short before the walk ran the detector on any
+// emitted mask still minted a fact — the probe's cover of the full
+// selection — so it queues a snapshot write, and after a restart that
+// cover decides every subset of the selection.
+func TestCutShortStreamPersistsProbeCover(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts := newTestServer(t, Options{StateDir: dir, FlushInterval: time.Hour})
+	var reg wire.RegisterWorkloadResponse
+	if resp, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads",
+		&wire.RegisterWorkloadRequest{Benchmark: "auction", N: 4}, &reg); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register auction: %d\n%s", resp.StatusCode, raw)
+	}
+	_, sum, _ := streamLines(t, http.MethodGet, ts.URL+"/v1/workloads/"+reg.ID+"/subsets:stream?max_subsets=3", nil)
+	if sum.Emitted != 3 || sum.Checked != 0 || sum.SubsetsPruned != 3 {
+		t.Fatalf("cut-short stream emitted %d, checked %d, pruned %d; want 3, 0, 3", sum.Emitted, sum.Checked, sum.SubsetsPruned)
+	}
+	s1.Flush()
+	if got := s1.persists.Load(); got != 2 {
+		t.Fatalf("register + flushed cut-short stream wrote %d snapshots, want 2", got)
+	}
+
+	_, ts2 := newTestServer(t, Options{StateDir: dir})
+	_, sum, _ = streamLines(t, http.MethodGet, ts2.URL+"/v1/workloads/"+reg.ID+"/subsets:stream", nil)
+	if sum.Checked != 0 || sum.SubsetsPruned != 255 {
+		t.Errorf("post-restart stream checked %d / pruned %d, want 0 / 255", sum.Checked, sum.SubsetsPruned)
+	}
+}
+
 // TestPatchKeepsUntouchedCores: a PATCH drops exactly the cores involving
 // the patched program; cores over untouched programs survive and keep
 // pruning the re-enumeration under the new version.

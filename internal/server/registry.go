@@ -35,9 +35,6 @@ type workload struct {
 	version  uint64
 
 	checks, subsets, patches atomic.Uint64
-	// lastParallelism records the effective worker count of the most recent
-	// check/subsets request, for /v1/stats (0 until the first request).
-	lastParallelism atomic.Int64
 
 	// pins counts requests currently being served against this workload
 	// (held from lookup to response, and across register + persist). A

@@ -9,10 +9,9 @@ import (
 )
 
 // resultCache memoizes complete subsets responses per workload, keyed by
-// a (version, setting, method, bound, program selection) string —
-// parallelism excluded, because it never changes verdicts. A hit costs one
-// map lookup and a write of the stored bytes; a miss runs the enumeration
-// on the request and stores the encoded response on success.
+// a (version, setting, method, bound, program selection) string. A hit
+// costs one map lookup and a write of the stored bytes; a miss runs the
+// enumeration on the request and stores the encoded response on success.
 //
 // Invalidation is exactly the PATCH version bump: keys embed the workload
 // version, so after a patch no stale entry can ever be looked up again, and

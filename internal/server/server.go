@@ -23,13 +23,9 @@
 // size-weighted eviction over per-workload memory estimates, never evicting
 // a workload with a request in flight.
 //
-// Concurrency is governed by the engine's one Parallelism knob (see
-// docs/ARCHITECTURE.md): the -parallel option is the per-request default
-// and cap, requests may lower or (up to the cap) raise it via the
-// "parallelism" body field, and /v1/stats reports the resolved default
-// plus each workload's last effective value. The knob bounds the
-// subset-enumeration fanout (Figures 6/7 of the paper); a single check
-// runs on its request's goroutine.
+// Checks and subset enumerations run on their request's goroutine; the
+// -parallel option (Options.Parallelism) bounds only the concurrent
+// candidate searches of a /certify request.
 //
 // API (JSON over HTTP; see internal/wire for the body types):
 //
@@ -62,7 +58,6 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,8 +82,9 @@ type Options struct {
 	// MaxWorkloads caps the registry; the least recently used workload is
 	// evicted beyond it. 0 means DefaultMaxWorkloads.
 	MaxWorkloads int
-	// Parallelism bounds each subset enumeration's worker pool; 0 means
-	// GOMAXPROCS, 1 forces sequential enumeration.
+	// Parallelism bounds the concurrent candidate searches of each
+	// /certify request; 0 means GOMAXPROCS. Checks and subset
+	// enumerations run on their request's goroutine.
 	Parallelism int
 	// RequestTimeout bounds each analysis request; 0 means
 	// DefaultRequestTimeout, negative means no deadline beyond the
@@ -259,6 +255,10 @@ type Server struct {
 	// after admission, just before the enumeration — a seam for tests that
 	// hold or panic an admitted enumeration.
 	testSubsetsHook func()
+	// testStreamHook, when non-nil, runs after each verdict line a stream
+	// has written and flushed, with the stream's context — a seam for
+	// tests that pace a stream.
+	testStreamHook func(ctx context.Context)
 }
 
 // New creates a Server ready to serve its Handler.
@@ -874,33 +874,6 @@ func (s *Server) release(w *workload) {
 	}
 }
 
-// config resolves a CheckRequest into the engine configuration. The
-// request's per-request parallelism wins when set; an unset field falls
-// back to the server's -parallel option, and a set field is capped by the
-// resolved server bound — the -parallel option, or GOMAXPROCS when the
-// operator left it unset. The cap is what keeps the field safe to expose:
-// an unauthenticated request must not be able to dictate an arbitrary
-// goroutine count.
-func (s *Server) config(req *wire.CheckRequest) (analysis.Config, error) {
-	cfg, err := req.Config()
-	if err != nil {
-		return cfg, err
-	}
-	if bound := effectiveParallelism(s.opts.Parallelism); cfg.Parallelism <= 0 || cfg.Parallelism > bound {
-		cfg.Parallelism = bound
-	}
-	return cfg, nil
-}
-
-// effectiveParallelism resolves the knob's 0-means-GOMAXPROCS convention for
-// reporting in /v1/stats.
-func effectiveParallelism(p int) int {
-	if p <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p
-}
-
 // --- Handlers --------------------------------------------------------------
 
 func (s *Server) handleRegister(rw http.ResponseWriter, r *http.Request) {
@@ -1027,7 +1000,7 @@ func (s *Server) handleCheck(rw http.ResponseWriter, r *http.Request) {
 		badRequest(rw, err)
 		return
 	}
-	cfg, err := s.config(&req)
+	cfg, err := req.Config()
 	if err != nil {
 		badRequest(rw, err)
 		return
@@ -1052,7 +1025,6 @@ func (s *Server) handleCheck(rw http.ResponseWriter, r *http.Request) {
 	}
 	s.checks.Add(1)
 	w.checks.Add(1)
-	w.lastParallelism.Store(int64(effectiveParallelism(cfg.Parallelism)))
 	rw.Header().Set("X-Workload-Version", fmt.Sprint(version))
 	resp := wire.NewCheckResponse(cfg, programs, res)
 	if recorder != nil {
@@ -1072,7 +1044,7 @@ func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
 		badRequest(rw, err)
 		return
 	}
-	cfg, err := s.config(&req)
+	cfg, err := req.Config()
 	if err != nil {
 		badRequest(rw, err)
 		return
@@ -1094,12 +1066,11 @@ func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
 	var key string
 	if recorder == nil {
 		// An identical enumeration already answered (same version,
-		// configuration and program selection — parallelism excluded, it
-		// never changes verdicts) is served from its stored bytes without
-		// touching the engine.
+		// configuration and program selection) is served from its stored
+		// bytes without touching the engine.
 		key = requestKey(version, cfg, programs)
 		if body, ok := w.results.get(key); ok {
-			s.countSubsets(w, cfg)
+			s.countSubsets(w)
 			writeRaw(rw, version, body)
 			return
 		}
@@ -1115,7 +1086,7 @@ func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
 		s.analysisError(rw, r, err)
 		return
 	}
-	s.countSubsets(w, cfg)
+	s.countSubsets(w)
 	resp := wire.NewSubsetsResponse(cfg, programs, rep)
 	if recorder != nil {
 		resp.Timings = wire.NewPhaseTimings(recorder.Snapshot())
@@ -1143,10 +1114,9 @@ func (s *Server) handleSubsets(rw http.ResponseWriter, r *http.Request) {
 }
 
 // countSubsets records one answered /subsets request.
-func (s *Server) countSubsets(w *workload, cfg analysis.Config) {
+func (s *Server) countSubsets(w *workload) {
 	s.subsets.Add(1)
 	w.subsets.Add(1)
-	w.lastParallelism.Store(int64(effectiveParallelism(cfg.Parallelism)))
 }
 
 // enumerable rejects a subset enumeration over more than
@@ -1201,7 +1171,7 @@ func (s *Server) handleCertify(rw http.ResponseWriter, r *http.Request) {
 		badRequest(rw, err)
 		return
 	}
-	cfg, err := s.config(&req.CheckRequest)
+	cfg, err := req.CheckRequest.Config()
 	if err != nil {
 		badRequest(rw, err)
 		return
@@ -1226,14 +1196,13 @@ func (s *Server) handleCertify(rw http.ResponseWriter, r *http.Request) {
 	cfg.Tracer = tracer
 	res, err := certify.Subset(ctx, w.session(), cfg, programs, certify.Options{
 		MaxSchedules: budget,
-		Parallelism:  cfg.Parallelism,
+		Parallelism:  s.opts.Parallelism,
 	})
 	if err != nil {
 		s.analysisError(rw, r, err)
 		return
 	}
 	s.certifies.Add(1)
-	w.lastParallelism.Store(int64(effectiveParallelism(cfg.Parallelism)))
 	if res.Status == certify.Unrealized {
 		s.unrealizedCands.Add(uint64(res.Candidates))
 	}
@@ -1289,16 +1258,15 @@ func (s *Server) workloadStats(w *workload) wire.WorkloadStats {
 		names[i] = p.Name
 	}
 	return wire.WorkloadStats{
-		ID:              w.id,
-		Version:         version,
-		Programs:        names,
-		Checks:          w.checks.Load(),
-		Subsets:         w.subsets.Load(),
-		Patches:         w.patches.Load(),
-		LastParallelism: int(w.lastParallelism.Load()),
-		Cache:           wire.NewCacheStats(w.session().Stats()),
-		ResultCache:     w.results.stats(),
-		SizeBytes:       w.sizeBytes(),
+		ID:          w.id,
+		Version:     version,
+		Programs:    names,
+		Checks:      w.checks.Load(),
+		Subsets:     w.subsets.Load(),
+		Patches:     w.patches.Load(),
+		Cache:       wire.NewCacheStats(w.session().Stats()),
+		ResultCache: w.results.stats(),
+		SizeBytes:   w.sizeBytes(),
 	}
 }
 
@@ -1328,7 +1296,6 @@ func (s *Server) statsSnapshot() *wire.StatsResponse {
 		MaxBytes:             s.opts.MaxBytes,
 		SnapshotsLoaded:      s.stateLoaded,
 		PersistErrors:        s.persistErrs.Load(),
-		DefaultParallelism:   effectiveParallelism(s.opts.Parallelism),
 		UnrealizedCandidates: s.unrealizedCands.Load(),
 		Requests: wire.RequestStats{
 			Register:          s.registers.Load(),

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -477,104 +476,6 @@ func TestPatchSessionRotation(t *testing.T) {
 	}
 	if st := w.session().Stats(); st.Programs != 0 || st.Blocks.Pairs != 0 {
 		t.Errorf("fresh session carries state: %+v", st)
-	}
-}
-
-// TestPerRequestParallelism covers the parallelism knob's wire surface: the
-// per-request field is honoured, capped by the server's -parallel option,
-// and /v1/stats reports both the resolved server default and each
-// workload's last effective value.
-func TestPerRequestParallelism(t *testing.T) {
-	_, ts := newTestServer(t, Options{Parallelism: 2})
-	id := registerSmallBank(t, ts)
-
-	readStats := func() wire.StatsResponse {
-		t.Helper()
-		var st wire.StatsResponse
-		resp, raw := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &st)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("stats: %d\n%s", resp.StatusCode, raw)
-		}
-		return st
-	}
-	workloadStats := func(st wire.StatsResponse) wire.WorkloadStats {
-		t.Helper()
-		for _, w := range st.WorkloadStats {
-			if w.ID == id {
-				return w
-			}
-		}
-		t.Fatalf("workload %s missing from stats", id)
-		return wire.WorkloadStats{}
-	}
-
-	st := readStats()
-	if st.DefaultParallelism != 2 {
-		t.Errorf("default_parallelism = %d, want the -parallel bound 2", st.DefaultParallelism)
-	}
-	if got := workloadStats(st).LastParallelism; got != 0 {
-		t.Errorf("last_parallelism before any analysis = %d, want 0", got)
-	}
-
-	// No per-request field: the server default applies.
-	var check wire.CheckResponse
-	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/check", nil, &check)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("check: %d", resp.StatusCode)
-	}
-	if got := workloadStats(readStats()).LastParallelism; got != 2 {
-		t.Errorf("last_parallelism after default check = %d, want 2", got)
-	}
-
-	// Request below the cap: honoured verbatim.
-	var seq wire.SubsetsResponse
-	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/subsets",
-		&wire.CheckRequest{Parallelism: 1}, &seq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("subsets: %d", resp.StatusCode)
-	}
-	if got := workloadStats(readStats()).LastParallelism; got != 1 {
-		t.Errorf("last_parallelism after sequential subsets = %d, want 1", got)
-	}
-
-	// Request above the cap: clamped to the server bound, and the verdicts
-	// are unchanged — parallelism never alters results.
-	var capped wire.SubsetsResponse
-	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/subsets",
-		&wire.CheckRequest{Parallelism: 64}, &capped)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("capped subsets: %d", resp.StatusCode)
-	}
-	if got := workloadStats(readStats()).LastParallelism; got != 2 {
-		t.Errorf("last_parallelism after capped subsets = %d, want 2", got)
-	}
-	if fmt.Sprint(seq.Maximal) != fmt.Sprint(capped.Maximal) || fmt.Sprint(seq.Robust) != fmt.Sprint(capped.Robust) {
-		t.Errorf("parallelism changed the report:\nseq:    %v\ncapped: %v", seq, capped)
-	}
-}
-
-// TestPerRequestParallelismUnbounded: with no server -parallel option the
-// default resolves to GOMAXPROCS, which is also the cap — a request can
-// never raise the goroutine count past what the operator's machine allows
-// (an unauthenticated body must not dictate a million workers).
-func TestPerRequestParallelismUnbounded(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	id := registerSmallBank(t, ts)
-	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads/"+id+"/check",
-		&wire.CheckRequest{Parallelism: 1 << 20}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("check: %d", resp.StatusCode)
-	}
-	var st wire.StatsResponse
-	if resp, raw := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &st); resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: %d\n%s", resp.StatusCode, raw)
-	}
-	if st.DefaultParallelism != runtime.GOMAXPROCS(0) {
-		t.Errorf("default_parallelism = %d, want GOMAXPROCS %d", st.DefaultParallelism, runtime.GOMAXPROCS(0))
-	}
-	if len(st.WorkloadStats) != 1 || st.WorkloadStats[0].LastParallelism != runtime.GOMAXPROCS(0) {
-		t.Errorf("workload stats = %+v, want last_parallelism capped to GOMAXPROCS %d",
-			st.WorkloadStats, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 
 // lineBufPool recycles the NDJSON line buffers and the response-encode
 // buffers of the subsets handlers (the wire side of the allocs/op work;
-// the engine side reuses its walk workers' bitsets across levels).
+// the engine side reuses its walk's bitset across levels).
 var lineBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getLineBuf() *bytes.Buffer {
@@ -70,7 +70,6 @@ func streamRequest(rw http.ResponseWriter, r *http.Request) (*wire.StreamRequest
 		dst *int
 	}{
 		{"unfold_bound", &req.UnfoldBound},
-		{"parallelism", &req.Parallelism},
 		{"k", &req.K},
 		{"max_subsets", &req.MaxSubsets},
 	} {
@@ -107,7 +106,7 @@ func (s *Server) handleSubsetsStream(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("mode top_k needs k > 0"))
 		return
 	}
-	cfg, err := s.config(&req.CheckRequest)
+	cfg, err := req.CheckRequest.Config()
 	if err != nil {
 		badRequest(rw, err)
 		return
@@ -157,14 +156,19 @@ func (s *Server) handleSubsetsStream(rw http.ResponseWriter, r *http.Request) {
 
 	opts := analysis.StreamOptions{Mode: mode, K: req.K, MaxSubsets: req.MaxSubsets}
 	sum, err := w.session().RobustSubsetsStream(ctx, programs, cfg, opts, func(v analysis.StreamVerdict) error {
-		return writeLine(wire.NewStreamVerdictRecord(v))
+		if err := writeLine(wire.NewStreamVerdictRecord(v)); err != nil {
+			return err
+		}
+		if s.testStreamHook != nil {
+			s.testStreamHook(ctx)
+		}
+		return nil
 	})
 	s.streamed.Add(1)
 	w.subsets.Add(1)
-	w.lastParallelism.Store(int64(effectiveParallelism(cfg.Parallelism)))
-	// Only a detector run can mint a fact; queue what one minted, however
-	// the walk ended, for the debounced flusher.
-	if err != nil || sum.Checked > 0 {
+	// Queue the facts the walk added, however it ended, for the debounced
+	// flusher.
+	if err != nil || sum.NewFacts {
 		s.markDirty(w)
 	}
 	if err != nil {

@@ -208,12 +208,26 @@ func TestSubsetsStreamTopK(t *testing.T) {
 }
 
 // TestSubsetsStreamDisconnectCancels: closing the client connection mid-
-// stream must cancel the lattice walk — the workload's detector-miss
-// counter stops growing far below the full enumeration. Eleven of
-// Auction(11)'s 22 programs (2^11−1 = 2047 subsets, sequential) keep the
-// walk slow enough to observe; all 22 would exceed the enumeration limit.
+// stream must cancel the lattice walk. The stream is paced: after its
+// second verdict line it waits until the disconnect has cancelled its
+// context, so the walk stops at exactly two decided subsets (detector runs
+// plus containment decisions) of the 2^11−1 = 2047 that eleven of
+// Auction(11)'s 22 programs give, however fast the host or large its
+// socket buffers; all 22 would exceed the enumeration limit.
 func TestSubsetsStreamDisconnectCancels(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	const paced = 2
+	srv, ts := newTestServer(t, Options{})
+	var lines int
+	srv.testStreamHook = func(ctx context.Context) {
+		if lines++; lines != paced {
+			return
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+			t.Error("stream context not cancelled 5 s after the client disconnected")
+		}
+	}
 	var reg wire.RegisterWorkloadResponse
 	resp, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/workloads",
 		&wire.RegisterWorkloadRequest{Benchmark: "auction", N: 11}, &reg)
@@ -223,8 +237,8 @@ func TestSubsetsStreamDisconnectCancels(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		ts.URL+"/v1/workloads/"+reg.ID+"/subsets:stream?parallelism=1"+
-			"&programs=FB1,PB1,FB2,PB2,FB3,PB3,FB4,PB4,FB5,PB5,FB6", nil)
+		ts.URL+"/v1/workloads/"+reg.ID+"/subsets:stream"+
+			"?programs=FB1,PB1,FB2,PB2,FB3,PB3,FB4,PB4,FB5,PB5,FB6", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,46 +249,38 @@ func TestSubsetsStreamDisconnectCancels(t *testing.T) {
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("stream: %d, want 200", res.StatusCode)
 	}
-	// Read a couple of verdict lines to prove the stream is live, then
-	// drop the connection.
+	// Read the paced lines to prove the stream is live, then drop the
+	// connection.
 	sc := bufio.NewScanner(res.Body)
-	for i := 0; i < 2 && sc.Scan(); i++ {
+	for i := 0; i < paced && sc.Scan(); i++ {
 	}
 	cancel()
 	res.Body.Close()
 
-	misses := func() uint64 {
+	decided := func() uint64 {
 		var stats wire.StatsResponse
 		doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &stats)
 		if len(stats.WorkloadStats) != 1 {
 			t.Fatalf("workload stats: %+v", stats.WorkloadStats)
 		}
-		return stats.WorkloadStats[0].Cache.Cores.Misses
+		c := stats.WorkloadStats[0].Cache.Cores
+		return c.Misses + c.SubsetsPruned
 	}
-	// The cancel propagates at the next mask; the aborted walk then adds
-	// its detector runs to the workload's counter. Wait for the counter to
-	// move and stabilize, then require it stays put well below the full
-	// lattice.
-	var settled uint64
+	// The cancel stops the walk at the next mask; the aborted walk then
+	// adds its decisions to the workload's counters. Wait for them, then
+	// require they stay put.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		a := misses()
-		time.Sleep(50 * time.Millisecond)
-		b := misses()
-		if a == b && b > 0 {
-			settled = b
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("detector-miss counter never settled after disconnect (%d)", b)
-		}
+	got := decided()
+	for got != paced && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		got = decided()
+	}
+	if got != paced {
+		t.Fatalf("disconnected stream decided %d subsets, want %d", got, paced)
 	}
 	time.Sleep(100 * time.Millisecond)
-	if again := misses(); again != settled {
-		t.Errorf("lattice walk kept running after disconnect: misses %d -> %d", settled, again)
-	}
-	if total := uint64(1<<11 - 1); settled >= total {
-		t.Errorf("disconnected stream still enumerated the whole lattice (%d misses)", settled)
+	if again := decided(); again != got {
+		t.Errorf("lattice walk kept running after disconnect: decided %d -> %d", got, again)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
-	"weak"
 
 	"repro/internal/btp"
 	"repro/internal/obs"
 	"repro/internal/relschema"
+	"repro/internal/retire"
 )
 
 // BlockSet caches, for one analysis setting, the summary-graph edges of
@@ -53,16 +53,12 @@ type BlockSet struct {
 	// pairs counts the cached pairs and live the arena edges their spans
 	// cover; the rest of the arena is dead until compactLocked.
 	pairs, live int
-	// retired holds the LTPs passed to Invalidate or Retire. A check that
-	// was already in flight when its program was invalidated may still
-	// present them, and those pairs are computed on demand but never
-	// cached: no later caller holds the old LTPs, so cached pairs would
-	// leak for the set's lifetime. The set holds them weakly, because an
-	// LTP that has been collected can never be presented again;
-	// retireLocked drops such entries once the set doubled since the last
-	// sweep, when it had retiredKept entries.
-	retired     map[weak.Pointer[btp.LTP]]struct{}
-	retiredKept int
+	// retired holds the LTPs most recently passed to Invalidate or Retire.
+	// A check that was already in flight when its program was invalidated
+	// may still present them, and those pairs are computed on demand but
+	// never cached: no later caller holds the old LTPs, so cached pairs
+	// would leak for the set's lifetime.
+	retired retire.Set[*btp.LTP]
 
 	// Cache telemetry, exposed through Stats. A hit is a pair a compose or
 	// ensure found cached; a miss ran appendPairEdges (two racing
@@ -141,13 +137,11 @@ func (bs *BlockSet) Stats() BlockStats {
 }
 
 // Rough per-entry costs of the SizeBytes estimate: a slot is a map entry
-// of a pointer key and an int32 with its share of the map's groups; a
-// retired LTP is a map entry of a weak pointer.
+// of a pointer key and an int32 with its share of the map's groups.
 const (
-	slotEntryBytes    = 24
-	spanBytes         = int64(unsafe.Sizeof(span{}))
-	packedEdgeBytes   = int64(unsafe.Sizeof(packedEdge{}))
-	retiredEntryBytes = 16
+	slotEntryBytes  = 24
+	spanBytes       = int64(unsafe.Sizeof(span{}))
+	packedEdgeBytes = int64(unsafe.Sizeof(packedEdge{}))
 )
 
 // SizeBytes estimates the cache's resident memory: the slot index, the span
@@ -163,7 +157,7 @@ func (bs *BlockSet) SizeBytes() int64 {
 		int64(len(bs.slots))*slotEntryBytes +
 		int64(len(bs.spans))*spanBytes +
 		int64(bs.live)*packedEdgeBytes +
-		int64(len(bs.retired))*retiredEntryBytes
+		bs.retired.SizeBytes()
 }
 
 // Retire marks LTPs the set holds no pairs of, so that their pairs are
@@ -172,28 +166,10 @@ func (bs *BlockSet) SizeBytes() int64 {
 // program.
 func (bs *BlockSet) Retire(ltps []*btp.LTP) {
 	bs.mu.Lock()
-	bs.retireLocked(ltps)
-	bs.mu.Unlock()
-}
-
-// retireLocked adds the LTPs to the retired set and, once the set has
-// doubled since the last sweep, drops the entries of collected LTPs.
-// Caller holds bs.mu for writing.
-func (bs *BlockSet) retireLocked(ltps []*btp.LTP) {
-	if bs.retired == nil {
-		bs.retired = make(map[weak.Pointer[btp.LTP]]struct{}, len(ltps))
-	}
 	for _, l := range ltps {
-		bs.retired[weak.Make(l)] = struct{}{}
+		bs.retired.Add(l)
 	}
-	if len(bs.retired) > 2*bs.retiredKept+64 {
-		for w := range bs.retired {
-			if w.Value() == nil {
-				delete(bs.retired, w)
-			}
-		}
-		bs.retiredKept = len(bs.retired)
-	}
+	bs.mu.Unlock()
 }
 
 // Invalidate evicts every cached pair with at least one endpoint among the
@@ -210,7 +186,9 @@ func (bs *BlockSet) Invalidate(ltps []*btp.LTP) int {
 		return 0
 	}
 	bs.mu.Lock()
-	bs.retireLocked(ltps)
+	for _, l := range ltps {
+		bs.retired.Add(l)
+	}
 	removed := 0
 	for _, l := range ltps {
 		s, ok := bs.slots[l]
@@ -375,10 +353,8 @@ func (bs *BlockSet) admitLocked(p *pass) {
 			p.slots[i] = s
 			continue
 		}
-		if len(bs.retired) > 0 {
-			if _, ok := bs.retired[weak.Make(l)]; ok {
-				continue
-			}
+		if bs.retired.Has(l) {
+			continue
 		}
 		var s int32
 		if n := len(bs.free); n > 0 {

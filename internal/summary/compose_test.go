@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -291,9 +290,8 @@ func TestColdComposeAllocsPerLTP(t *testing.T) {
 // unfolding is composed with the others. Released slots are reused, so the
 // table never widens; the arena is compacted, so its dead edges stay
 // within a constant of the live ones; and the estimate stays within a
-// constant of its one-cycle value, because the retired set drops the LTPs
-// the collector took (the loop collects every 10 cycles, as a serving
-// process does on its own).
+// constant of its one-cycle value, because the retired set keeps only the
+// retire.Cap most recently retired LTPs.
 func TestBlockSetChurnBounded(t *testing.T) {
 	bench := benchmarks.AuctionN(6)
 	bs := NewBlockSet(bench.Schema, SettingAttrDepFK)
@@ -312,9 +310,6 @@ func TestBlockSetChurnBounded(t *testing.T) {
 		ltps := append(slices.Clone(cur), others...)
 		if g := Compose(bs, ltps); c%100 == 0 {
 			requireBuildGraph(t, fmt.Sprintf("cycle %d", c), bench.Schema, ltps, SettingAttrDepFK, g)
-		}
-		if c%10 == 0 {
-			runtime.GC()
 		}
 	}
 	cycle(1)

@@ -20,8 +20,8 @@
 //     graph — no per-subset graph, no allocation for a robust verdict — for
 //     the exponential enumeration of Figures 6 and 7.
 //
-// Every construction and detection here runs on the calling goroutine; the
-// only worker pool of the analysis is the lattice walk's, one layer up.
+// Every construction and detection here runs on the calling goroutine, as
+// does the lattice walk one layer up.
 package summary
 
 import "repro/internal/btp"

@@ -240,14 +240,6 @@ type CheckRequest struct {
 	// Programs restricts the check to the named programs (full names or
 	// abbreviations); empty means all registered programs.
 	Programs []string `json:"programs,omitempty"`
-	// Parallelism is the per-request worker count of subset enumeration
-	// (and of the /certify search). 0 means the server's resolved default;
-	// positive values are capped by the server's bound — the -parallel
-	// option, or GOMAXPROCS when the operator left it unset — so a request
-	// can lower concurrency but never raise it past what the operator
-	// allows. Parallelism never changes a verdict, only the wall-clock, so
-	// requests differing only in this field share a result-cache entry.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // Config resolves the request into an engine configuration. An unfold
@@ -272,7 +264,7 @@ func (r *CheckRequest) Config() (analysis.Config, error) {
 	}
 	return analysis.Config{
 		Setting: setting, Method: method,
-		UnfoldBound: max(r.UnfoldBound, 0), Parallelism: r.Parallelism,
+		UnfoldBound: max(r.UnfoldBound, 0),
 	}, nil
 }
 
@@ -705,21 +697,13 @@ type ResultCacheStats struct {
 
 // WorkloadStats describes one registered workload in /v1/stats.
 type WorkloadStats struct {
-	ID       string   `json:"id"`
-	Version  uint64   `json:"version"`
-	Programs []string `json:"programs"`
-	Checks   uint64   `json:"checks"`
-	Subsets  uint64   `json:"subsets"`
-	Patches  uint64   `json:"patches"`
-	// LastParallelism is the effective worker count of the workload's most
-	// recent check or subsets request — the request's parallelism field
-	// after applying the server's -parallel default and cap, with 0
-	// resolved to GOMAXPROCS. It stays 0 until the first analysis request,
-	// so operators can tell "never analysed" from "analysed sequentially"
-	// (which reports 1). Requests answered from the subsets result cache
-	// record their resolved value too, even though no workers ran.
-	LastParallelism int        `json:"last_parallelism"`
-	Cache           CacheStats `json:"cache"`
+	ID       string     `json:"id"`
+	Version  uint64     `json:"version"`
+	Programs []string   `json:"programs"`
+	Checks   uint64     `json:"checks"`
+	Subsets  uint64     `json:"subsets"`
+	Patches  uint64     `json:"patches"`
+	Cache    CacheStats `json:"cache"`
 	// ResultCache is the workload's subsets result-cache telemetry.
 	ResultCache ResultCacheStats `json:"result_cache"`
 	// SizeBytes is the workload's estimated resident memory (programs +
@@ -764,14 +748,10 @@ type StatsResponse struct {
 	// minimal non-robust cores carrying the certified provenance bit;
 	// UnrealizedCandidates accumulates the candidate instantiations that
 	// certify requests searched without finding a counterexample.
-	CertifiedCores       int    `json:"certified_cores"`
-	UnrealizedCandidates uint64 `json:"unrealized_candidates"`
-	// DefaultParallelism is the resolved server-wide worker count applied
-	// to requests that do not set their own parallelism field: the
-	// -parallel flag, or GOMAXPROCS when unset.
-	DefaultParallelism int             `json:"default_parallelism"`
-	Requests           RequestStats    `json:"requests"`
-	WorkloadStats      []WorkloadStats `json:"workload_stats"`
+	CertifiedCores       int             `json:"certified_cores"`
+	UnrealizedCandidates uint64          `json:"unrealized_candidates"`
+	Requests             RequestStats    `json:"requests"`
+	WorkloadStats        []WorkloadStats `json:"workload_stats"`
 	// StatsGeneration increments on every served /v1/stats response, so a
 	// poller can order snapshots and detect a server restart (the counter
 	// resets to 1) without comparing timestamps.

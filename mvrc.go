@@ -31,11 +31,10 @@
 // (RobustSubsets, the analysis behind Figures 6 and 7) walks the subset
 // lattice by size: known minimal non-robust cores and robust covers decide
 // most subsets by containment, and the rest run the cycle search on the
-// selection's universe graph, composed once from the same cache, over a
-// bounded worker pool — the Parallelism knob of Options, defaulting to
-// GOMAXPROCS. The knob bounds subset enumeration only: a single check runs
-// on the calling goroutine. See docs/ARCHITECTURE.md for how the knob flows through the
-// layers.
+// selection's universe graph, composed once from the same cache. A robust
+// selection is decided by one cycle search on its full set. Every check
+// and every enumeration runs on the calling goroutine; see
+// docs/ARCHITECTURE.md for the layers.
 //
 // One-shot calls (Check, CheckWith, RobustSubsets) create a throwaway
 // session internally; long-lived callers that analyse many overlapping
@@ -110,21 +109,21 @@ type (
 	Report = robust.Result
 	// SubsetReport lists robust and maximal robust subsets.
 	SubsetReport = robust.SubsetReport
-	// Options configures a check: setting, method, unfold bound and the
-	// worker count of subset enumeration. The zero value is attribute
-	// granularity without foreign keys, type-II cycles, bound 2,
-	// GOMAXPROCS workers; DefaultOptions selects the paper's primary
-	// setting (attribute dependencies with foreign keys).
+	// Options configures a check: setting, method and unfold bound (its
+	// Parallelism field is ignored). The zero value is attribute
+	// granularity without foreign keys, type-II cycles, bound 2;
+	// DefaultOptions selects the paper's primary setting (attribute
+	// dependencies with foreign keys).
 	Options = analysis.Config
 	// Session is the reusable incremental analysis engine: it memoizes
 	// unfoldings and pairwise summary-graph edge blocks across calls.
 	Session = analysis.Session
 	// Server is the resident robustness service behind cmd/robustserved.
 	Server = server.Server
-	// ServerOptions configures a Server: registry cap, subset-enumeration
-	// parallelism, per-request timeout, the snapshot directory for restart
-	// persistence (StateDir) and the estimated-memory eviction budget
-	// (MaxBytes).
+	// ServerOptions configures a Server: registry cap, the concurrent
+	// candidate searches of a certification, per-request timeout, the
+	// snapshot directory for restart persistence (StateDir) and the
+	// estimated-memory eviction budget (MaxBytes).
 	ServerOptions = server.Options
 	// StreamMode selects how much of the subset lattice a streaming
 	// enumeration traverses (all, first_non_robust, all_maximal_robust,
@@ -141,7 +140,8 @@ type (
 	// compose, detect, lattice levels, first verdict) from the analysis
 	// engine when set on Options. A nil Tracer — the default — costs
 	// nothing: the engine takes no timestamps and allocates nothing.
-	// Implementations must be safe for concurrent use.
+	// Implementations shared across concurrent calls must be safe for
+	// concurrent use.
 	Tracer = obs.Tracer
 	// SpanRecorder is an in-memory Tracer that aggregates spans per phase;
 	// cmd/robustcheck -timings and the server's ?debug=timings use it.
@@ -226,8 +226,7 @@ func CheckWith(schema *Schema, programs []*Program, setting Setting, method Meth
 }
 
 // CheckOptions tests robustness under a full options struct, including the
-// unfold bound and (for subsequent subset enumeration on a shared session)
-// the parallelism knob.
+// unfold bound.
 func CheckOptions(schema *Schema, programs []*Program, opts Options) (*Report, error) {
 	return analysis.NewSession(schema).Check(programs, opts)
 }
@@ -240,8 +239,7 @@ func CheckOptions(schema *Schema, programs []*Program, opts Options) (*Report, e
 // cycle search (non-robustness is monotone over induced subgraphs), with
 // robust covers pruning the other direction; verdicts are identical to
 // the exhaustive per-subset check. At most 20 programs are accepted. Use
-// RobustSubsetsOptions to set the unfold bound or bound the parallelism
-// (Options.Parallelism).
+// RobustSubsetsOptions to set the unfold bound.
 func RobustSubsets(schema *Schema, programs []*Program, setting Setting, method Method) (*SubsetReport, error) {
 	return RobustSubsetsOptions(schema, programs, Options{Setting: setting, Method: method})
 }
