@@ -6,7 +6,7 @@
 //	                              motivation the paper cites for running
 //	                              robust workloads at the lower level
 //	BenchmarkRealizeWitness       — witness realization end to end
-//	                                (includes the exhaustive search)
+//	                                (candidates, search and replay)
 //	BenchmarkSQLParse             — SQL → BTP translation of TPC-C
 package mvrc
 
@@ -15,8 +15,8 @@ import (
 
 	"repro/internal/benchmarks"
 	"repro/internal/btp"
+	"repro/internal/certify"
 	"repro/internal/mvcc"
-	"repro/internal/realize"
 	"repro/internal/robust"
 	"repro/internal/sqlbtp"
 	"repro/internal/summary"
@@ -54,9 +54,9 @@ func BenchmarkEngineIsolation(b *testing.B) {
 	}
 }
 
-// BenchmarkRealizeWitness measures witness realization for {Bal, Am}: the
-// static analysis, witness extraction, canonical instantiation and the
-// exhaustive counterexample search together.
+// BenchmarkRealizeWitness measures witness realization for {Bal, Am}
+// through Realize: candidate instantiation, the counterexample search and
+// the engine replay together.
 func BenchmarkRealizeWitness(b *testing.B) {
 	b.ReportAllocs()
 	bench := benchmarks.SmallBank()
@@ -70,12 +70,12 @@ func BenchmarkRealizeWitness(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := realize.Witness(bench.Schema, res.Witness, realize.Options{})
+		r, err := Realize(bench.Schema, res)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Outcome != realize.Realized {
-			b.Fatalf("outcome = %s", r.Outcome)
+		if r.Status != certify.Certified {
+			b.Fatalf("status = %s (%s)", r.Status, r.Reason)
 		}
 	}
 }

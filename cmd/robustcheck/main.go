@@ -34,8 +34,6 @@
 //	           "all_maximal_robust", "top_k"
 //	-k         result budget for -mode top_k
 //	-max-subsets  stop the stream after this many emitted verdicts
-//	-parallel  concurrent candidate searches of -certify (default
-//	           GOMAXPROCS); the subset enumeration is sequential
 //	-naive     use the naive per-subset oracle instead of the cached engine
 //	-stats     print summary-graph statistics (Table 2)
 //	-unfold    loop unfolding bound (default 2; 2 is sound per Prop. 6.1)
@@ -86,7 +84,6 @@ func main() {
 		mode      = flag.String("mode", "all", "streaming mode: all, first_non_robust, all_maximal_robust, top_k")
 		topK      = flag.Int("k", 0, "result budget for -mode top_k")
 		maxSub    = flag.Int("max-subsets", 0, "stop the stream after this many emitted verdicts (0 = no cap)")
-		parallel  = flag.Int("parallel", 0, "concurrent candidate searches of -certify (0 = GOMAXPROCS)")
 		naive     = flag.Bool("naive", false, "use the naive per-subset oracle instead of the cached engine")
 		stats     = flag.Bool("stats", false, "print summary-graph statistics")
 		unfold    = flag.Int("unfold", 2, "loop unfolding bound")
@@ -105,7 +102,7 @@ func main() {
 		sqlFile: *sqlFile, schemaSQL: *schemaSQL,
 		dialect: *dialectF, ddlFile: *ddlFile,
 		setting: *setting, method: *method, progList: *progList,
-		subsets: *subsets, parallel: *parallel, naive: *naive,
+		subsets: *subsets, naive: *naive,
 		stats: *stats, unfold: *unfold, json: *jsonOut,
 		stream: *stream, mode: *mode, k: *topK, maxSubsets: *maxSub,
 		timings: *timings,
@@ -129,7 +126,6 @@ type runOptions struct {
 	method    string
 	progList  string
 	subsets   bool
-	parallel  int
 	naive     bool
 	stats     bool
 	unfold    int
@@ -341,10 +337,7 @@ func printTimings(rec *obs.SpanRecorder, w io.Writer) {
 // realization, interleaving search and engine replay. The -json document is
 // the same wire.CertifyResponse the server's /certify endpoint serves.
 func runCertify(o runOptions, checker *robust.Checker, cfg analysis.Config, programs []*btp.Program, out io.Writer) error {
-	res, err := certify.Subset(context.Background(), checker.Session(), cfg, programs, certify.Options{
-		MaxSchedules: o.maxSchedules,
-		Parallelism:  o.parallel,
-	})
+	res, err := certify.Subset(context.Background(), checker.Session(), cfg, programs, certify.Options{MaxSchedules: o.maxSchedules})
 	if err != nil {
 		return err
 	}

@@ -34,9 +34,6 @@
 //	-max-bytes      estimated-memory budget across resident workloads;
 //	                size-weighted eviction sheds workloads beyond it
 //	                (0 = count-based LRU only)
-//	-parallel       concurrent candidate searches of each /certify request
-//	                (0 = GOMAXPROCS); checks and subset enumerations run
-//	                sequentially on their request's goroutine
 //	-timeout        per-request analysis deadline (default 30s; 0 = none);
 //	                -request-timeout is an alias
 //	-max-concurrent-checks
@@ -123,7 +120,6 @@ func main() {
 		stateDir     = flag.String("state-dir", "", "directory for persistent workload snapshots (empty = no persistence)")
 		flushEvery   = flag.Duration("flush-interval", 0, "debounce window for result-cache snapshot writes (0 = default 100ms)")
 		maxBytes     = flag.Int64("max-bytes", 0, "estimated-memory budget across workloads; size-weighted eviction beyond it (0 = count-based LRU only)")
-		parallel     = flag.Int("parallel", 0, "concurrent candidate searches of each /certify request (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request analysis deadline (0 = none)")
 		maxChecks    = flag.Int("max-concurrent-checks", 256, "analysis requests executing at once; beyond it requests are shed with 429 + Retry-After (0 = unlimited)")
 		logLevel     = flag.String("log-level", "info", "structured logging to stderr: debug, info, warn, error, off")
@@ -147,7 +143,6 @@ func main() {
 		stateDir:     *stateDir,
 		flushEvery:   *flushEvery,
 		maxBytes:     *maxBytes,
-		parallel:     *parallel,
 		timeout:      *timeout,
 		maxChecks:    *maxChecks,
 		logLevel:     *logLevel,
@@ -166,7 +161,6 @@ type options struct {
 	stateDir     string
 	flushEvery   time.Duration
 	maxBytes     int64
-	parallel     int
 	timeout      time.Duration
 	maxChecks    int
 	logLevel     string
@@ -246,7 +240,6 @@ func run(ctx context.Context, out io.Writer, o options) error {
 	}
 	srv := mvrc.NewServer(mvrc.ServerOptions{
 		MaxWorkloads:        o.maxWorkloads,
-		Parallelism:         o.parallel,
 		RequestTimeout:      timeout,
 		MaxConcurrentChecks: o.maxChecks,
 		StateDir:            o.stateDir,

@@ -5,12 +5,11 @@ import (
 	"runtime/debug"
 )
 
-// PanicError wraps a panic recovered in the engine: the lattice walk
-// recovers at its entry, and certify's candidate workers on the goroutines
-// they run on, where a panic would otherwise kill the whole process — no
-// deferred recovery upstream can catch it. The panic becomes an error that
-// propagates through the normal return path, where the server maps it to
-// a structured 500 (and logs Stack) instead of dying mid-request.
+// PanicError wraps a panic recovered in the engine: the lattice walk and
+// certify's candidate search recover at their entries. The panic becomes
+// an error that propagates through the normal return path, where the
+// server maps it to a structured 500 (and logs Stack) instead of dying
+// mid-request.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -22,10 +21,10 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("internal: panic in analysis worker: %v", e.Value)
 }
 
-// CapturePanic is the deferred recovery of an engine entry point or
-// worker goroutine: it stores a *PanicError in the error slot, keeping an
-// error already reported there (the panic then happened during unwinding
-// bookkeeping and the first cause wins).
+// CapturePanic is the deferred recovery of an engine entry point: it
+// stores a *PanicError in the error slot, keeping an error already
+// reported there (the panic then happened during unwinding bookkeeping
+// and the first cause wins).
 func CapturePanic(slot *error) {
 	if p := recover(); p != nil {
 		if *slot == nil {

@@ -27,7 +27,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/btp"
 	"repro/internal/enumerate"
-	"repro/internal/instantiate"
 	"repro/internal/realize"
 	"repro/internal/relschema"
 	"repro/internal/replay"
@@ -38,9 +37,9 @@ import (
 
 // MaxRequestSchedules caps the per-candidate interleaving budget a
 // /certify request may ask for, and is the budget of one that names none.
-// The search is linear in the budget (TPC-C {NO, OS} spends 11–13s on
+// The search is linear in the budget (TPC-C {NO, OS} spends about 40 ms on
 // 100,000 interleavings per candidate on 2 vCPUs), so a capped request ends
-// inside the server's default request timeout. Options.MaxSchedules
+// far inside the server's default request timeout. Options.MaxSchedules
 // itself stays uncapped for in-process callers and robustcheck.
 const MaxRequestSchedules = 100_000
 
@@ -49,8 +48,8 @@ type Options struct {
 	// MaxSchedules caps each candidate's interleaving search (0 = the
 	// enumerate default).
 	MaxSchedules int
-	// Parallelism bounds the candidate-level search fan-out (0 =
-	// GOMAXPROCS).
+	// Parallelism is ignored: the candidates are searched in order on the
+	// caller's goroutine.
 	Parallelism int
 }
 
@@ -175,60 +174,29 @@ func Subset(ctx context.Context, sess *analysis.Session, cfg analysis.Config, pr
 	if res.Robust {
 		return &Result{Status: Robust}, nil
 	}
-	if res.Witness == nil {
-		return nil, errors.New("certify: non-robust verdict without a witness")
+	out, err := Witness(ctx, sess.Schema(), cfg.Setting, res.Witness, opts)
+	if err != nil || out.Status != Certified {
+		return out, err
 	}
-	return witness(ctx, sess, cfg, res.Witness, opts)
+	if core, ok := corePrograms(res.Witness); ok {
+		out.NewlyCertified = sess.CertifyCore(cfg, core)
+	}
+	return out, nil
 }
 
-// witness drives the realize→search→replay pipeline for one witness cycle.
-func witness(ctx context.Context, sess *analysis.Session, cfg analysis.Config, w *summary.Witness, opts Options) (*Result, error) {
-	schema := sess.Schema()
+// Witness drives the realize→search→replay pipeline for one witness cycle
+// found in the given analysis setting. Unlike Subset it records nothing:
+// NewlyCertified stays false.
+func Witness(ctx context.Context, schema *relschema.Schema, setting summary.Setting, w *summary.Witness, opts Options) (*Result, error) {
+	if w == nil || len(w.Cycle) == 0 {
+		return nil, errors.New("certify: non-robust verdict without a witness")
+	}
 	out := &Result{Status: Unrealized, Core: coreNames(w)}
 
-	// Candidate derivation: both instantiation strategies at the cycle's
-	// own multiplicity, and the canonical one widened by one extra
-	// instance per distinct program (single-edge cycles often need the
-	// second instance — e.g. two WriteChecks racing on one customer). Witnesses from an FK-less
-	// analysis setting must be realized over the same overapproximated
-	// space, so the annotations are ignored exactly when the setting
-	// ignored them.
-	ropts := realize.Options{MaxSchedules: opts.MaxSchedules, IgnoreFKs: !cfg.Setting.UseForeignKeys}
-	type namedCandidate struct {
-		name      string
-		instances []enumerate.Instance
-	}
-	var cands []namedCandidate
-	var notes []string
-	for _, extra := range []bool{false, true} {
-		o := ropts
-		o.ExtraInstances = extra
-		suffix := ""
-		if extra {
-			suffix = "+extra"
-		}
-		set, errs := realize.CandidateSets(schema, w, o)
-		for _, e := range errs {
-			notes = append(notes, e.Error()+suffix)
-		}
-		for _, c := range set {
-			// Pre-flight every instance: a candidate whose assignment
-			// violates the strict form or an FK annotation is dropped here
-			// (with its reason recorded) instead of aborting the whole
-			// parallel sweep inside the search.
-			ok := true
-			for id, inst := range c.Instances {
-				if _, ierr := instantiate.Instantiate(schema, inst.LTP, id+1, inst.Assignment); ierr != nil {
-					notes = append(notes, fmt.Sprintf("%s%s: %v", c.Name, suffix, ierr))
-					ok = false
-					break
-				}
-			}
-			if ok {
-				cands = append(cands, namedCandidate{name: c.Name + suffix, instances: c.Instances})
-			}
-		}
-	}
+	// Witnesses from an FK-less analysis setting must be realized over the
+	// same overapproximated space, so the annotations are ignored exactly
+	// when the setting ignored them.
+	cands, notes := realize.Candidates(schema, w, !setting.UseForeignKeys)
 	out.Candidates = len(cands)
 	if len(cands) == 0 {
 		out.Reason = ReasonNoInstantiation
@@ -240,9 +208,9 @@ func witness(ctx context.Context, sess *analysis.Session, cfg analysis.Config, w
 
 	lists := make([][]enumerate.Instance, len(cands))
 	for i, c := range cands {
-		lists[i] = c.instances
+		lists[i] = c.Instances
 	}
-	search, winner, err := enumerate.FindAnyCounterexampleCtx(ctx, schema, lists, opts.Parallelism, enumerate.Options{MaxSchedules: opts.MaxSchedules})
+	search, winner, err := enumerate.FindAnyCounterexampleCtx(ctx, schema, lists, 0, enumerate.Options{MaxSchedules: opts.MaxSchedules})
 	if err != nil {
 		return nil, err
 	}
@@ -274,20 +242,17 @@ func witness(ctx context.Context, sess *analysis.Session, cfg analysis.Config, w
 	}
 
 	cert := &Certificate{
-		Candidate: cands[winner].name,
+		Candidate: cands[winner].Name,
 		Schedule:  search.Schedule,
 		Recorded:  rep.Recorded,
 		Graph:     rep.Graph,
 		Cycle:     cycle,
 	}
-	for _, inst := range cands[winner].instances {
+	for _, inst := range cands[winner].Instances {
 		cert.Instances = append(cert.Instances, inst.LTP.Name)
 	}
 	out.Status = Certified
 	out.Certificate = cert
-	if core, ok := corePrograms(w); ok {
-		out.NewlyCertified = sess.CertifyCore(cfg, core)
-	}
 	return out, nil
 }
 

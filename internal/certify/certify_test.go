@@ -109,22 +109,13 @@ func TestCertifyBudgetReason(t *testing.T) {
 // for SmallBank, Auction and TPC-C under each of the four analysis
 // settings, every statically non-robust subset must either produce a
 // verifying certificate or a deterministic Unrealized reason — never an
-// error. The interleaving budget is kept modest; exceeding it is exactly
-// the documented "budget" outcome.
+// error. Large subsets overrun the per-candidate budget and land on the
+// documented "budget" outcome, which is exactly what the sweep verifies.
 func TestCertifyAllBenchmarksAllSettings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acceptance sweep skipped in -short mode")
 	}
-	// Modest per-candidate budget: large subsets overrun it and land on
-	// the documented "budget" outcome, which is exactly what the sweep
-	// verifies; raising it only grows certificates for slow cases. Under
-	// the race detector replay is ~10x slower, so the budget shrinks —
-	// more subsets land on the (equally valid) budget outcome, and the
-	// sweep stays inside the per-package test timeout.
-	maxSchedules := 10_000
-	if raceEnabled {
-		maxSchedules = 500
-	}
+	const maxSchedules = 10_000
 	for _, bench := range []*benchmarks.Benchmark{
 		benchmarks.SmallBank(), benchmarks.Auction(), benchmarks.TPCC(),
 	} {
@@ -159,5 +150,104 @@ func TestCertifyAllBenchmarksAllSettings(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCertifyCoresAtRequestCap certifies every minimal non-robust core of
+// SmallBank, TPC-C and Auction in the four settings at the request cap
+// (MaxRequestSchedules per candidate) and pins each outcome: the status,
+// the winning candidate or the reason's prefix, and the interleavings
+// explored. Every SmallBank core certifies — the paper's Section 7.2
+// claim, checked for its cores — and TPC-C {NO, OS} is the one core that
+// stays on the budget in every setting. The test also derives the cores,
+// so a table row that is no longer a core, or a core without a row, fails.
+func TestCertifyCoresAtRequestCap(t *testing.T) {
+	type outcome struct {
+		status  string
+		how     string // the certificate's candidate, or the reason's prefix
+		explore int
+	}
+	want := map[string]outcome{
+		"SmallBank/tpl dep/Am,Bal":          {"certified", "canonical", 3},
+		"SmallBank/tpl dep/Bal,DC,TS":       {"certified", "canonical", 67_615},
+		"SmallBank/tpl dep/WC":              {"certified", "canonical", 4},
+		"SmallBank/attr dep/Am,Bal":         {"certified", "canonical", 3},
+		"SmallBank/attr dep/Bal,DC,TS":      {"certified", "canonical", 67_615},
+		"SmallBank/attr dep/WC":             {"certified", "canonical", 4},
+		"SmallBank/tpl dep + FK/Am,Bal":     {"certified", "canonical", 3},
+		"SmallBank/tpl dep + FK/Bal,DC,TS":  {"certified", "canonical", 67_615},
+		"SmallBank/tpl dep + FK/WC":         {"certified", "canonical", 4},
+		"SmallBank/attr dep + FK/Am,Bal":    {"certified", "canonical", 3},
+		"SmallBank/attr dep + FK/Bal,DC,TS": {"certified", "canonical", 67_615},
+		"SmallBank/attr dep + FK/WC":        {"certified", "canonical", 4},
+		"TPC-C/tpl dep/Del":                 {"certified", "canonical", 646},
+		"TPC-C/tpl dep/NO,OS":               {"unrealized", "budget", 300_000},
+		"TPC-C/tpl dep/Pay":                 {"unrealized", "budget", 100_030},
+		"TPC-C/tpl dep/NO,SL":               {"certified", "canonical", 2},
+		"TPC-C/attr dep/Del":                {"certified", "canonical", 646},
+		"TPC-C/attr dep/NO,OS":              {"unrealized", "budget", 300_000},
+		"TPC-C/attr dep/Pay":                {"certified", "guided", 24_091},
+		"TPC-C/attr dep/NO,SL":              {"certified", "canonical", 2},
+		"TPC-C/tpl dep + FK/Del":            {"certified", "canonical", 646},
+		"TPC-C/tpl dep + FK/NO,OS":          {"unrealized", "budget", 300_000},
+		"TPC-C/tpl dep + FK/Pay":            {"unrealized", "no candidate instantiation applies", 0},
+		"TPC-C/tpl dep + FK/NO,SL":          {"certified", "canonical", 2},
+		"TPC-C/attr dep + FK/Del":           {"certified", "canonical", 646},
+		"TPC-C/attr dep + FK/NO,OS":         {"unrealized", "budget", 300_000},
+		"TPC-C/attr dep + FK/NO,SL":         {"certified", "canonical", 2},
+		"Auction/tpl dep/PB":                {"certified", "guided", 379},
+		"Auction/attr dep/PB":               {"certified", "guided", 379},
+	}
+	seen := 0
+	for _, b := range []*benchmarks.Benchmark{benchmarks.SmallBank(), benchmarks.TPCC(), benchmarks.Auction()} {
+		for _, setting := range summary.AllSettings {
+			sess := analysis.NewSession(b.Schema)
+			cfg := analysis.Config{Setting: setting, Method: summary.TypeII}
+			n := len(b.Programs)
+			robust := make([]bool, 1<<n)
+			robust[0] = true
+			for mask := 1; mask < 1<<n; mask++ {
+				var subset []*btp.Program
+				minimal := true
+				for i, p := range b.Programs {
+					if mask&(1<<i) != 0 {
+						subset = append(subset, p)
+						minimal = minimal && robust[mask&^(1<<i)]
+					}
+				}
+				res, err := sess.CheckCtx(context.Background(), subset, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if robust[mask] = res.Robust; res.Robust || !minimal {
+					continue
+				}
+				cres, err := Subset(context.Background(), sess, cfg, subset, Options{MaxSchedules: MaxRequestSchedules})
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("%s/%s/%s", b.Name, setting, strings.Join(cres.Core, ","))
+				w, ok := want[key]
+				if !ok {
+					t.Errorf("%s: a minimal core without a row", key)
+					continue
+				}
+				seen++
+				how := cres.Reason
+				if cres.Certificate != nil {
+					how = cres.Certificate.Candidate
+					if err := cres.Certificate.Verify(b.Schema); err != nil {
+						t.Errorf("%s: certificate does not verify: %v", key, err)
+					}
+				}
+				if cres.Status.String() != w.status || !strings.HasPrefix(how, w.how) || cres.Explored != w.explore {
+					t.Errorf("%s: %s by %q after %d interleavings, want %s by %q after %d",
+						key, cres.Status, how, cres.Explored, w.status, w.how, w.explore)
+				}
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("%d of the %d rows are minimal cores", seen, len(want))
 	}
 }

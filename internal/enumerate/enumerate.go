@@ -7,17 +7,15 @@
 //
 // The search space is every interleaving of a given set of instantiated
 // transactions that (a) respects per-transaction order, (b) respects atomic
-// chunks, and (c) is free of dirty writes; reads are assigned
-// read-last-committed versions, so every completed interleaving is allowed
-// under MVRC by construction.
+// chunks, and (c) is free of dirty writes. The DFS tries the transactions
+// in list order at each step and keeps the read-last-committed execution
+// of its prefix incrementally (see prefix), so a schedule.Schedule is
+// built only for the counterexample.
 package enumerate
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/btp"
@@ -53,16 +51,14 @@ type Result struct {
 	Exhausted bool
 }
 
-// FindNonSerializable searches the interleavings of the given transactions
-// for one whose MVRC execution is not conflict serializable.
-func FindNonSerializable(schema *relschema.Schema, txns []*schedule.Transaction, opts Options) (*Result, error) {
-	return FindNonSerializableCtx(context.Background(), schema, txns, opts)
-}
-
-// FindNonSerializableCtx is FindNonSerializable under a context: the DFS
-// polls the context every few thousand steps, so callers driven by server
-// deadlines or client disconnects can abort a long exhaustive search. On
-// cancellation the context's error is returned.
+// FindNonSerializableCtx searches the interleavings of the given
+// transactions for one whose MVRC execution is not conflict serializable.
+// The DFS polls the context on its first node and once every 4096
+// thereafter, so callers driven by server deadlines or client disconnects
+// can abort a long exhaustive search; on cancellation the context's error
+// is returned. The search stops on the budget only when one more
+// interleaving exists, so a space of exactly MaxSchedules interleavings
+// still ends Exhausted.
 func FindNonSerializableCtx(ctx context.Context, schema *relschema.Schema, txns []*schedule.Transaction, opts Options) (*Result, error) {
 	budget := opts.MaxSchedules
 	if budget <= 0 {
@@ -73,143 +69,64 @@ func FindNonSerializableCtx(ctx context.Context, schema *relschema.Schema, txns 
 			return nil, fmt.Errorf("enumerate: %w", err)
 		}
 	}
-	res := &Result{Exhausted: true}
-
-	n := len(txns)
-	next := make([]int, n)                    // next operation index per transaction
-	inChunk := -1                             // transaction currently inside a chunk, or -1
-	uncommitted := map[schedule.TupleID]int{} // tuple -> txn index holding an uncommitted write
-	order := make([]*schedule.Op, 0)
-
-	chunkOf := func(t *schedule.Transaction, opIdx int) (schedule.Chunk, bool) {
-		for _, c := range t.Chunks {
-			if c.From <= opIdx && opIdx <= c.To {
-				return c, true
-			}
-		}
-		return schedule.Chunk{}, false
-	}
-
-	// The DFS polls the context on its first node and once every 4096
-	// thereafter: cheap relative to schedule assembly, frequent enough
-	// that cancellation lands within microseconds.
-	var steps int
-	cancelled := false
-
-	var dfs func() bool
-	dfs = func() bool {
-		steps++
-		if steps&4095 == 1 && ctx.Err() != nil {
-			cancelled = true
-			return true
-		}
-		if len(order) == totalOps(txns) {
-			res.Explored++
-			s, err := schedule.FromOrder(schema, txns, order)
-			if err != nil {
-				panic(fmt.Sprintf("enumerate: internal: %v", err))
-			}
-			// Dirty writes and chunk violations are pruned during the
-			// search, but visibility can only be checked on the complete
-			// schedule: a read observing an unborn or dead version (e.g. a
-			// tuple read before its insert commits) makes the interleaving
-			// inadmissible under MVRC.
-			if !s.AllowedUnderMVRC() {
-				if res.Explored >= budget {
-					res.Exhausted = false
-					return true
-				}
-				return false
-			}
-			g := seg.Build(s)
-			if !g.IsConflictSerializable() {
-				res.Found = true
-				// Copy the order: the slice is mutated as DFS unwinds.
-				res.Schedule, _ = schedule.FromOrder(schema, txns, append([]*schedule.Op(nil), order...))
-				res.Graph = seg.Build(res.Schedule)
-				return true
-			}
-			if res.Explored >= budget {
-				res.Exhausted = false
-				return true
-			}
-			return false
-		}
-		for ti, t := range txns {
-			if inChunk >= 0 && inChunk != ti {
-				continue
-			}
-			oi := next[ti]
-			if oi >= len(t.Ops) {
-				continue
-			}
-			op := t.Ops[oi]
-			// Dirty-write pruning: a write on a tuple with an uncommitted
-			// write from another transaction is not allowed under MVRC.
-			if op.IsWrite() {
-				if holder, ok := uncommitted[op.TupleRef]; ok && holder != ti {
-					continue
-				}
-			}
-			// Apply.
-			savedChunk := inChunk
-			var releasedTuples []schedule.TupleID
-			if op.IsWrite() {
-				if _, ok := uncommitted[op.TupleRef]; !ok {
-					uncommitted[op.TupleRef] = ti
-					releasedTuples = append(releasedTuples, op.TupleRef)
-				}
-			}
-			if op.Kind == schedule.OpCommit {
-				for tu, holder := range uncommitted {
-					if holder == ti {
-						releasedTuples = append(releasedTuples, tu)
-						delete(uncommitted, tu)
-					}
-				}
-			}
-			if c, ok := chunkOf(t, oi); ok && oi < c.To {
-				inChunk = ti
-			} else {
-				inChunk = -1
-			}
-			next[ti]++
-			order = append(order, op)
-
-			stop := dfs()
-
-			// Undo.
-			order = order[:len(order)-1]
-			next[ti]--
-			inChunk = savedChunk
-			if op.Kind == schedule.OpCommit {
-				for _, tu := range releasedTuples {
-					uncommitted[tu] = ti
-				}
-			} else if op.IsWrite() {
-				for _, tu := range releasedTuples {
-					delete(uncommitted, tu)
-				}
-			}
-			if stop {
-				return true
-			}
-		}
-		return false
-	}
-	dfs()
-	if cancelled {
+	s := &search{ctx: ctx, p: newPrefix(txns), budget: budget, res: &Result{Exhausted: true}}
+	s.visit()
+	if s.cancelled {
 		return nil, ctx.Err()
 	}
-	return res, nil
+	if s.res.Found {
+		sched, err := schedule.FromOrder(schema, txns, s.p.placed(txns))
+		if err != nil {
+			panic(fmt.Sprintf("enumerate: internal: %v", err))
+		}
+		s.res.Schedule = sched
+		s.res.Graph = seg.Build(sched)
+	}
+	return s.res, nil
 }
 
-func totalOps(txns []*schedule.Transaction) int {
-	n := 0
-	for _, t := range txns {
-		n += len(t.Ops)
+// search is one DFS over the interleavings of a prefix's transactions.
+type search struct {
+	ctx       context.Context
+	p         *prefix
+	budget    int
+	res       *Result
+	steps     int
+	cancelled bool
+}
+
+// visit explores every extension of the current prefix and reports
+// whether the search stops: on a counterexample (left placed in the
+// prefix), the budget or cancellation.
+func (s *search) visit() bool {
+	s.steps++
+	if s.steps&4095 == 1 && s.ctx.Err() != nil {
+		s.cancelled = true
+		return true
 	}
-	return n
+	p := s.p
+	if len(p.order) == len(p.ops) {
+		if s.res.Explored == s.budget {
+			// One more interleaving than the budget allows: the space is
+			// not exhausted.
+			s.res.Exhausted = false
+			return true
+		}
+		s.res.Explored++
+		s.res.Found = p.violations == 0 && p.cyclic()
+		return s.res.Found
+	}
+	hold := p.holding()
+	for ti := range p.n {
+		if hold >= 0 && hold != ti || p.done(ti) || !p.push(ti) {
+			continue
+		}
+		if s.visit() {
+			return true
+		}
+		p.pop()
+	}
+	return false
 }
 
 // Instance describes one transaction to instantiate for the search: an LTP
@@ -227,6 +144,14 @@ func FindCounterexample(schema *relschema.Schema, instances []Instance, opts Opt
 
 // FindCounterexampleCtx is FindCounterexample under a context.
 func FindCounterexampleCtx(ctx context.Context, schema *relschema.Schema, instances []Instance, opts Options) (*Result, error) {
+	txns, err := instantiateAll(schema, instances)
+	if err != nil {
+		return nil, err
+	}
+	return FindNonSerializableCtx(ctx, schema, txns, opts)
+}
+
+func instantiateAll(schema *relschema.Schema, instances []Instance) ([]*schedule.Transaction, error) {
 	txns := make([]*schedule.Transaction, 0, len(instances))
 	for i, inst := range instances {
 		t, err := instantiate.Instantiate(schema, inst.LTP, i+1, inst.Assignment)
@@ -235,102 +160,42 @@ func FindCounterexampleCtx(ctx context.Context, schema *relschema.Schema, instan
 		}
 		txns = append(txns, t)
 	}
-	return FindNonSerializableCtx(ctx, schema, txns, opts)
+	return txns, nil
 }
 
-// SessionInstances builds one search instance per unfolding of the program,
-// drawing the LTPs from the shared analysis session (so repeated candidate
-// construction across subsets reuses the memoized unfoldings). assign maps
-// each LTP to its tuple assignment; bound 0 means the default unfold bound.
-func SessionInstances(sess *analysis.Session, p *btp.Program, bound int, assign func(*btp.LTP) instantiate.Assignment) ([]Instance, error) {
-	ltps, err := sess.LTPs(p, bound)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Instance, 0, len(ltps))
-	for _, l := range ltps {
-		out = append(out, Instance{LTP: l, Assignment: assign(l)})
-	}
-	return out, nil
-}
-
-// FindAnyCounterexample searches several candidate instance sets
-// concurrently (bounded by parallelism; 0 means GOMAXPROCS) and returns the
-// counterexample of the lowest-indexed candidate that admits one, together
-// with that candidate's index (-1 when none does). Every candidate is
-// searched to completion under its own budget, so the result is
-// deterministic regardless of scheduling. This is the constructive
-// complement of the subset enumeration: when the static analysis rejects a
-// set of subsets, their candidate instantiations can be checked for real
-// anomalies in one parallel sweep; its workers are the only goroutines the
-// engine starts.
-func FindAnyCounterexample(schema *relschema.Schema, candidates [][]Instance, parallelism int, opts Options) (*Result, int, error) {
-	return FindAnyCounterexampleCtx(context.Background(), schema, candidates, parallelism, opts)
-}
-
-// FindAnyCounterexampleCtx is FindAnyCounterexample under a context: each
-// worker re-checks the context before claiming the next candidate and the
-// per-candidate DFS polls it too, so the whole pool drains promptly on
-// cancellation (returning the context's error). A panic in a worker
-// returns as an *analysis.PanicError instead of ending the process.
-func FindAnyCounterexampleCtx(ctx context.Context, schema *relschema.Schema, candidates [][]Instance, parallelism int, opts Options) (*Result, int, error) {
-	if len(candidates) == 0 {
-		return &Result{Exhausted: true}, -1, nil
-	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	results := make([]*Result, len(candidates))
-	errs := make([]error, len(candidates))
-	panics := make([]error, workers)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot *error) {
-			defer wg.Done()
-			defer analysis.CapturePanic(slot)
-			for ctx.Err() == nil {
-				i := int(next.Add(1))
-				if i >= len(candidates) {
-					return
-				}
-				results[i], errs[i] = FindCounterexampleCtx(ctx, schema, candidates[i], opts)
-			}
-		}(&panics[w])
-	}
-	wg.Wait()
-	for _, err := range panics {
-		if err != nil {
-			return nil, -1, fmt.Errorf("enumerate: %w", err)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, -1, err
-	}
-	for i, err := range errs {
-		if err != nil {
+// FindAnyCounterexampleCtx searches several candidate instance sets in
+// order, each under its own budget, and returns the counterexample of the
+// first candidate that admits one, together with that candidate's index
+// (-1 when none does). Every candidate is instantiated before any search,
+// so a malformed candidate is an error wherever it stands in the list.
+// When no candidate admits a counterexample the result sums their
+// explored interleavings and is exhausted only if every search was. The
+// search runs on the caller's goroutine and polls ctx (returning its
+// error on cancellation); a panic returns as an *analysis.PanicError.
+// parallelism is ignored.
+func FindAnyCounterexampleCtx(ctx context.Context, schema *relschema.Schema, candidates [][]Instance, parallelism int, opts Options) (_ *Result, winner int, err error) {
+	winner = -1 // what a recovered panic returns
+	defer analysis.CapturePanic(&err)
+	txns := make([][]*schedule.Transaction, len(candidates))
+	for i, c := range candidates {
+		if txns[i], err = instantiateAll(schema, c); err != nil {
 			return nil, -1, fmt.Errorf("enumerate: candidate %d: %w", i, err)
 		}
 	}
-	for i, res := range results {
+	agg := &Result{Exhausted: true}
+	for i, ts := range txns {
+		res, err := FindNonSerializableCtx(ctx, schema, ts, opts)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, -1, cerr
+			}
+			return nil, -1, fmt.Errorf("enumerate: candidate %d: %w", i, err)
+		}
 		if res.Found {
 			return res, i, nil
 		}
-	}
-	// No counterexample: report exhaustion only if every search was
-	// exhaustive.
-	agg := &Result{Exhausted: true}
-	for _, res := range results {
 		agg.Explored += res.Explored
-		if !res.Exhausted {
-			agg.Exhausted = false
-		}
+		agg.Exhausted = agg.Exhausted && res.Exhausted
 	}
 	return agg, -1, nil
 }

@@ -11,6 +11,21 @@ import (
 	"repro/internal/instantiate"
 )
 
+// sessionInstances builds one search instance per unfolding of the
+// program, drawing the LTPs from the shared analysis session. assign maps
+// each LTP to its tuple assignment; bound 0 means the default unfold bound.
+func sessionInstances(sess *analysis.Session, p *btp.Program, bound int, assign func(*btp.LTP) instantiate.Assignment) ([]Instance, error) {
+	ltps, err := sess.LTPs(p, bound)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Instance, 0, len(ltps))
+	for _, l := range ltps {
+		out = append(out, Instance{LTP: l, Assignment: assign(l)})
+	}
+	return out, nil
+}
+
 // smallBankCandidates builds one instance set per named program list,
 // drawing LTPs from the shared session.
 func smallBankCandidates(t *testing.T, sess *analysis.Session, b *benchmarks.Benchmark, lists [][]string) [][]Instance {
@@ -23,9 +38,7 @@ func smallBankCandidates(t *testing.T, sess *analysis.Session, b *benchmarks.Ben
 			if p == nil {
 				t.Fatalf("unknown SmallBank program %q", name)
 			}
-			built, err := SessionInstances(sess, p, 0, func(l *btp.LTP) instantiate.Assignment {
-				return smallBankAssignment(l)
-			})
+			built, err := sessionInstances(sess, p, 0, smallBankAssignment)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,9 +53,9 @@ func smallBankCandidates(t *testing.T, sess *analysis.Session, b *benchmarks.Ben
 }
 
 // TestFindAnyCounterexample sweeps a mixed candidate list: the robust
-// subset first, then two non-robust ones. The parallel sweep must report
-// the lowest-indexed candidate that admits an anomaly, deterministically,
-// at any parallelism.
+// subset first, then two non-robust ones. The sweep must report the
+// lowest-indexed candidate that admits an anomaly, with that candidate's
+// own explored count.
 func TestFindAnyCounterexample(t *testing.T) {
 	b := benchmarks.SmallBank()
 	sess := analysis.NewSession(b.Schema)
@@ -51,23 +64,28 @@ func TestFindAnyCounterexample(t *testing.T) {
 		{"DepositChecking", "WriteCheck"}, // lost update
 		{"WriteCheck", "WriteCheck"},      // classic SmallBank anomaly
 	})
-	for _, par := range []int{1, 3} {
-		res, idx, err := FindAnyCounterexample(b.Schema, candidates, par, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Found || idx != 1 {
-			t.Fatalf("parallelism %d: found=%t idx=%d, want counterexample at index 1", par, res.Found, idx)
-		}
-		if res.Graph.IsConflictSerializable() {
-			t.Fatal("counterexample graph should be cyclic")
-		}
+	res, idx, err := FindAnyCounterexampleCtx(context.Background(), b.Schema, candidates, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found || idx != 1 {
+		t.Fatalf("found=%t idx=%d, want counterexample at index 1", res.Found, idx)
+	}
+	if res.Graph.IsConflictSerializable() {
+		t.Fatal("counterexample graph should be cyclic")
+	}
+	alone, err := FindCounterexample(b.Schema, candidates[1], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Explored != alone.Explored || res.Schedule.String() != alone.Schedule.String() {
+		t.Fatalf("sweep winner explored %d (%s), its search alone %d (%s)",
+			res.Explored, res.Schedule, alone.Explored, alone.Schedule)
 	}
 }
 
-// TestFindAnyCounterexamplePanicSurfacesAsError: a panic inside one
-// candidate's search — certify's only engine goroutines — returns as an
-// *analysis.PanicError from the sweep, which the server answers with a 500
+// TestFindAnyCounterexamplePanicSurfacesAsError: a panic inside the sweep
+// returns as an *analysis.PanicError, which the server answers with a 500
 // of code "panic", instead of ending the process.
 func TestFindAnyCounterexamplePanicSurfacesAsError(t *testing.T) {
 	b := benchmarks.SmallBank()
@@ -76,17 +94,19 @@ func TestFindAnyCounterexamplePanicSurfacesAsError(t *testing.T) {
 		{"Balance", "DepositChecking"},
 		{"DepositChecking", "WriteCheck"},
 	})
-	// An instance without an LTP panics when the search instantiates it.
+	// An instance without an LTP panics when the sweep instantiates it —
+	// before any search, although a candidate ahead of it certifies.
 	candidates = append(candidates, []Instance{{}})
-	for _, par := range []int{1, 3} {
-		_, _, err := FindAnyCounterexample(b.Schema, candidates, par, Options{})
-		var pe *analysis.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("parallelism %d: candidate panic surfaced as %v, want *analysis.PanicError", par, err)
-		}
-		if len(pe.Stack) == 0 {
-			t.Errorf("parallelism %d: PanicError carries no worker stack", par)
-		}
+	res, idx, err := FindAnyCounterexampleCtx(context.Background(), b.Schema, candidates, 0, Options{})
+	var pe *analysis.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("candidate panic surfaced as %v, want *analysis.PanicError", err)
+	}
+	if res != nil || idx != -1 {
+		t.Fatalf("panicked sweep returned result %v and index %d, want nil and -1", res, idx)
+	}
+	if len(pe.Stack) == 0 {
+		t.Error("PanicError carries no stack")
 	}
 }
 
@@ -99,7 +119,7 @@ func TestFindAnyCounterexampleNone(t *testing.T) {
 		{"Balance", "DepositChecking"},
 		{"Balance", "TransactSavings"},
 	})
-	res, idx, err := FindAnyCounterexample(b.Schema, candidates, 0, Options{})
+	res, idx, err := FindAnyCounterexampleCtx(context.Background(), b.Schema, candidates, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +130,15 @@ func TestFindAnyCounterexampleNone(t *testing.T) {
 		t.Fatalf("expected exhaustive aggregate search, got explored=%d exhausted=%t", res.Explored, res.Exhausted)
 	}
 	// Empty candidate list is trivially exhausted.
-	res, idx, err = FindAnyCounterexample(b.Schema, nil, 0, Options{})
+	res, idx, err = FindAnyCounterexampleCtx(context.Background(), b.Schema, nil, 0, Options{})
 	if err != nil || res.Found || idx != -1 || !res.Exhausted {
 		t.Fatalf("empty candidates: res=%+v idx=%d err=%v", res, idx, err)
 	}
 }
 
 // TestFindAnyCounterexampleCtxCancelled asserts a cancelled context aborts
-// the parallel sweep (and the per-candidate DFS) with the context's error
-// instead of a result.
+// the sweep (and the per-candidate DFS) with the context's error instead
+// of a result.
 func TestFindAnyCounterexampleCtxCancelled(t *testing.T) {
 	b := benchmarks.SmallBank()
 	sess := analysis.NewSession(b.Schema)
@@ -133,5 +153,33 @@ func TestFindAnyCounterexampleCtxCancelled(t *testing.T) {
 	}
 	if _, err := FindCounterexampleCtx(ctx, b.Schema, candidates[0], Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FindCounterexampleCtx err = %v, want context.Canceled", err)
+	}
+}
+
+// TestExhaustedAtExactBudget: SmallBank {Balance, DepositChecking} has 35
+// interleavings and no anomaly. A budget of exactly 35 searches the whole
+// space, so the search must report it exhausted — the budget stops a
+// search only when one more interleaving exists.
+func TestExhaustedAtExactBudget(t *testing.T) {
+	b := benchmarks.SmallBank()
+	sess := analysis.NewSession(b.Schema)
+	candidate := smallBankCandidates(t, sess, b, [][]string{{"Balance", "DepositChecking"}})[0]
+	for _, tc := range []struct {
+		budget, explored int
+		exhausted        bool
+	}{
+		{34, 34, false},
+		{35, 35, true},
+		{36, 35, true},
+		{0, 35, true},
+	} {
+		res, err := FindCounterexample(b.Schema, candidate, Options{MaxSchedules: tc.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Found || res.Explored != tc.explored || res.Exhausted != tc.exhausted {
+			t.Errorf("budget %d: found=%t explored=%d exhausted=%t, want false %d %t",
+				tc.budget, res.Found, res.Explored, res.Exhausted, tc.explored, tc.exhausted)
+		}
 	}
 }

@@ -55,6 +55,9 @@ func guidedAssignments(s *relschema.Schema, w *summary.Witness, ignoreFKs bool) 
 	union := func(a, b slot) { parent[find(a)] = find(b) }
 
 	for i, e := range w.Cycle {
+		if e.FromStmt == nil || e.ToStmt == nil {
+			return nil, fmt.Errorf("realize: witness edge %d names no statement to guide by", i)
+		}
 		from := slot{i, e.FromStmt}
 		to := slot{(i + 1) % n, e.ToStmt}
 		if e.FromStmt.Stmt.Type.IsKeyBased() && e.ToStmt.Stmt.Type.IsKeyBased() {

@@ -1,13 +1,16 @@
-// Package realize attempts to turn a dangerous cycle found in a summary
-// graph (a static non-robustness verdict) into a concrete counterexample: a
-// schedule in schedules(P, mvrc) that is not conflict serializable.
+// Package realize derives the candidate instantiations through which a
+// dangerous cycle found in a summary graph (a static non-robustness
+// verdict) may become a concrete counterexample: a schedule in
+// schedules(P, mvrc) that is not conflict serializable. internal/certify
+// searches the candidates' interleavings (internal/enumerate) and replays
+// what it finds.
 //
 // Algorithm 2 is sound but incomplete — the presence of a type-II cycle
 // does not imply non-robustness (Section 6.3). Realization separates the
 // two outcomes at the BTP level: if a witness cycle can be realized, the
 // program set is provably not robust as a set of BTPs; if exhaustive
-// search over the canonical instantiation finds nothing, the verdict may be
-// a false negative.
+// search over its candidates finds nothing, the verdict may be a false
+// negative.
 //
 // Note the abstraction level: TPC-C's {Delivery} (Section 7.2) realizes a
 // BTP-level counterexample — two Delivery instances deleting different
@@ -34,15 +37,13 @@ import (
 	"repro/internal/enumerate"
 	"repro/internal/instantiate"
 	"repro/internal/relschema"
-	"repro/internal/schedule"
-	"repro/internal/seg"
 	"repro/internal/summary"
 )
 
-// Options bound the realization search.
+// Options shape the candidate instantiations.
 type Options struct {
-	// MaxSchedules caps the exhaustive interleaving search (0 = the
-	// enumerate default).
+	// MaxSchedules is ignored: the interleaving budget belongs to the
+	// search (enumerate.Options).
 	MaxSchedules int
 	// ExtraInstances adds one extra instance of every distinct program in
 	// the witness, widening the search beyond the cycle's multiplicity.
@@ -53,91 +54,6 @@ type Options struct {
 	// overapproximate schedules by dropping the annotations, and the
 	// realization must search the same space.
 	IgnoreFKs bool
-}
-
-// Outcome classifies a realization attempt.
-type Outcome int
-
-// Outcomes.
-const (
-	// Realized: a concrete MVRC-allowed, non-serializable schedule exists;
-	// the BTP set is definitely not robust.
-	Realized Outcome = iota
-	// Refuted: the canonical instantiation admits no counterexample (its
-	// whole interleaving space was searched); the verdict may be a false
-	// negative. Other instantiations could still realize the cycle.
-	Refuted
-	// Inconclusive: the search budget was exhausted first, or the
-	// canonical instantiation was inapplicable (see Note).
-	Inconclusive
-)
-
-// String renders the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case Realized:
-		return "realized"
-	case Refuted:
-		return "refuted (possible false negative)"
-	default:
-		return "inconclusive"
-	}
-}
-
-// Result reports a realization attempt.
-type Result struct {
-	Outcome Outcome
-	// Schedule and Graph hold the counterexample when Outcome == Realized.
-	Schedule *schedule.Schedule
-	Graph    *seg.Graph
-	// Explored counts examined interleavings.
-	Explored int
-	// Instances lists the instantiated transactions' labels.
-	Instances []string
-	// Note explains an Inconclusive outcome.
-	Note string
-}
-
-// Witness realizes a dangerous cycle from a summary graph: it instantiates
-// the cycle's programs and searches the MVRC schedule space for a
-// non-serializable schedule.
-func Witness(s *relschema.Schema, w *summary.Witness, opts Options) (*Result, error) {
-	if w == nil || len(w.Cycle) == 0 {
-		return nil, fmt.Errorf("realize: empty witness")
-	}
-	res, err := Programs(s, witnessLTPs(w, opts.ExtraInstances), opts)
-	if err != nil || res.Outcome == Realized {
-		return res, err
-	}
-	// Second attempt: witness-guided tuple sharing. The canonical
-	// shared-tuple instantiation can over-serialize instances through rows
-	// the cycle does not need (e.g. PlaceBid's buyer update); the guided
-	// assignment shares tuples only along the cycle's edges, with a
-	// foreign-key congruence closure keeping annotated statements on
-	// consistent tuples when the annotations are in force.
-	guided, gerr := guidedAssignments(s, w, opts.IgnoreFKs)
-	if gerr != nil {
-		return res, nil // keep the canonical outcome
-	}
-	search, gerr := enumerate.FindCounterexample(s, guided, enumerate.Options{MaxSchedules: opts.MaxSchedules})
-	if gerr != nil {
-		return res, nil
-	}
-	res.Explored += search.Explored
-	if search.Found {
-		res.Outcome = Realized
-		res.Schedule = search.Schedule
-		res.Graph = search.Graph
-		res.Instances = res.Instances[:0]
-		for _, inst := range guided {
-			res.Instances = append(res.Instances, inst.LTP.Name)
-		}
-		res.Note = "realized by witness-guided instantiation"
-	} else if res.Outcome == Refuted && !search.Exhausted {
-		res.Outcome = Inconclusive
-		res.Note = "guided search budget exhausted"
-	}
-	return res, nil
 }
 
 // witnessLTPs lists the LTP instances a witness cycle demands: one per
@@ -162,7 +78,7 @@ func witnessLTPs(w *summary.Witness, extra bool) []*btp.LTP {
 
 // canonicalInstances instantiates the LTP list over the canonical shared
 // tuple population (one transaction per entry).
-func canonicalInstances(s *relschema.Schema, instancesLTPs []*btp.LTP, ignoreFKs bool) ([]enumerate.Instance, []string, error) {
+func canonicalInstances(s *relschema.Schema, instancesLTPs []*btp.LTP, ignoreFKs bool) ([]enumerate.Instance, error) {
 	if ignoreFKs {
 		stripped := make([]*btp.LTP, len(instancesLTPs))
 		for i, l := range instancesLTPs {
@@ -174,23 +90,22 @@ func canonicalInstances(s *relschema.Schema, instancesLTPs []*btp.LTP, ignoreFKs
 	}
 	pop := newPopulation(s)
 	var instances []enumerate.Instance
-	var labels []string
 	for i, l := range instancesLTPs {
 		asg, err := pop.assignment(l, i)
 		if err != nil {
-			return nil, labels, err
+			return nil, err
 		}
 		instances = append(instances, enumerate.Instance{LTP: l, Assignment: asg})
-		labels = append(labels, l.Name)
 	}
-	return instances, labels, nil
+	return instances, nil
 }
 
 // Candidate is one instantiation strategy's instance set, for callers that
 // run the counterexample search themselves (internal/certify replays the
 // found schedule through the MVCC engine afterwards).
 type Candidate struct {
-	// Name identifies the strategy: "canonical" or "guided".
+	// Name identifies the strategy: "canonical" or "guided", with
+	// Candidates' "+extra" suffix on the widened canonical list.
 	Name string
 	// Instances is the concrete instance list to search over.
 	Instances []enumerate.Instance
@@ -211,7 +126,7 @@ func CandidateSets(s *relschema.Schema, w *summary.Witness, opts Options) ([]Can
 	}
 	var cands []Candidate
 	var errs []error
-	if insts, _, err := canonicalInstances(s, witnessLTPs(w, opts.ExtraInstances), opts.IgnoreFKs); err != nil {
+	if insts, err := canonicalInstances(s, witnessLTPs(w, opts.ExtraInstances), opts.IgnoreFKs); err != nil {
 		errs = append(errs, fmt.Errorf("canonical instantiation inapplicable: %w", err))
 	} else {
 		cands = append(cands, Candidate{Name: "canonical", Instances: insts})
@@ -227,38 +142,39 @@ func CandidateSets(s *relschema.Schema, w *summary.Witness, opts Options) ([]Can
 	return cands, errs
 }
 
-// Programs realizes a counterexample over explicit LTP instances (one
-// transaction per list entry).
-func Programs(s *relschema.Schema, instancesLTPs []*btp.LTP, opts Options) (*Result, error) {
-	instances, labels, err := canonicalInstances(s, instancesLTPs, opts.IgnoreFKs)
-	if err != nil {
-		return &Result{
-			Outcome:   Inconclusive,
-			Note:      fmt.Sprintf("canonical instantiation inapplicable: %v", err),
-			Instances: labels,
-		}, nil
+// Candidates lists the certification candidates for a witness, in the
+// order they are searched: both strategies at the cycle's own multiplicity,
+// then the canonical one widened by one extra instance per distinct program
+// (named "canonical+extra"; single-edge cycles often need the second
+// instance — e.g. two WriteChecks racing on one customer). Every instance
+// is pre-flighted through instantiate.Instantiate with the id the search
+// gives it: a candidate whose assignment violates the strict form or a
+// foreign-key annotation is dropped instead of aborting the whole search.
+// notes records why each strategy or candidate was left out. ignoreFKs is
+// Options.IgnoreFKs: set it for a witness from a setting that ignored
+// foreign keys, so the realization searches the same space.
+func Candidates(s *relschema.Schema, w *summary.Witness, ignoreFKs bool) (cands []Candidate, notes []string) {
+	for _, extra := range []bool{false, true} {
+		suffix := ""
+		if extra {
+			suffix = "+extra"
+		}
+		set, errs := CandidateSets(s, w, Options{ExtraInstances: extra, IgnoreFKs: ignoreFKs})
+		for _, e := range errs {
+			notes = append(notes, e.Error()+suffix)
+		}
+	next:
+		for _, c := range set {
+			for id, inst := range c.Instances {
+				if _, err := instantiate.Instantiate(s, inst.LTP, id+1, inst.Assignment); err != nil {
+					notes = append(notes, fmt.Sprintf("%s%s: %v", c.Name, suffix, err))
+					continue next
+				}
+			}
+			cands = append(cands, Candidate{Name: c.Name + suffix, Instances: c.Instances})
+		}
 	}
-	search, err := enumerate.FindCounterexample(s, instances, enumerate.Options{MaxSchedules: opts.MaxSchedules})
-	if err != nil {
-		return &Result{
-			Outcome:   Inconclusive,
-			Note:      fmt.Sprintf("canonical instantiation inapplicable: %v", err),
-			Instances: labels,
-		}, nil
-	}
-	res := &Result{Explored: search.Explored, Instances: labels}
-	switch {
-	case search.Found:
-		res.Outcome = Realized
-		res.Schedule = search.Schedule
-		res.Graph = search.Graph
-	case search.Exhausted:
-		res.Outcome = Refuted
-	default:
-		res.Outcome = Inconclusive
-		res.Note = "interleaving budget exhausted"
-	}
-	return res, nil
+	return cands, notes
 }
 
 // population carries the global tuple population and foreign-key valuation

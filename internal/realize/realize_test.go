@@ -1,6 +1,7 @@
 package realize
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -37,39 +38,48 @@ func witnessFor(t *testing.T, b *benchmarks.Benchmark, setting summary.Setting, 
 	return res.Witness
 }
 
+// realizeWitness searches the witness's Candidates in order, as certify
+// does. It returns the search result and the name of the candidate that
+// found a counterexample ("" when none did).
+func realizeWitness(t *testing.T, b *benchmarks.Benchmark, w *summary.Witness, ignoreFKs bool, budget int) (*enumerate.Result, string) {
+	t.Helper()
+	cands, _ := Candidates(b.Schema, w, ignoreFKs)
+	lists := make([][]enumerate.Instance, len(cands))
+	for i, c := range cands {
+		lists[i] = c.Instances
+	}
+	res, winner, err := enumerate.FindAnyCounterexampleCtx(context.Background(), b.Schema, lists, 0, enumerate.Options{MaxSchedules: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if winner < 0 {
+		return res, ""
+	}
+	if !res.Schedule.AllowedUnderMVRC() || res.Graph.IsConflictSerializable() {
+		t.Fatalf("%s: realized schedule must be MVRC-allowed and non-serializable:\n%s", cands[winner].Name, res.Schedule)
+	}
+	return res, cands[winner].Name
+}
+
 // TestRealizeSmallBankBalAm realizes the {Bal, Am} witness into a concrete
 // counterexample, proving true non-robustness.
 func TestRealizeSmallBankBalAm(t *testing.T) {
 	b := benchmarks.SmallBank()
 	w := witnessFor(t, b, summary.SettingAttrDepFK, "Balance", "Amalgamate")
-	res, err := Witness(b.Schema, w, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != Realized {
-		t.Fatalf("outcome = %s, want realized (instances %v, explored %d)",
-			res.Outcome, res.Instances, res.Explored)
-	}
-	if !res.Schedule.AllowedUnderMVRC() {
-		t.Fatal("realized schedule must be allowed under MVRC")
-	}
-	if res.Graph.IsConflictSerializable() {
-		t.Fatal("realized schedule must not be serializable")
+	if res, name := realizeWitness(t, b, w, false, 0); !res.Found {
+		t.Fatalf("no candidate realized {Bal, Am} (explored %d)", res.Explored)
+	} else if name != "canonical" {
+		t.Fatalf("{Bal, Am} realized by %q, want canonical", name)
 	}
 }
 
-// TestRealizeWriteCheck realizes the {WC} singleton witness.
+// TestRealizeWriteCheck realizes the {WC} singleton witness: two
+// WriteChecks racing on one customer.
 func TestRealizeWriteCheck(t *testing.T) {
 	b := benchmarks.SmallBank()
 	w := witnessFor(t, b, summary.SettingAttrDepFK, "WriteCheck")
-	// The witness cycle may involve a single instance; widen with an extra
-	// instance per program (two WriteChecks race on one customer).
-	res, err := Witness(b.Schema, w, Options{ExtraInstances: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != Realized {
-		t.Fatalf("outcome = %s (instances %v)", res.Outcome, res.Instances)
+	if res, _ := realizeWitness(t, b, w, false, 0); !res.Found {
+		t.Fatalf("no candidate realized {WC} (explored %d)", res.Explored)
 	}
 }
 
@@ -83,21 +93,13 @@ func TestRealizeAuctionWithoutFK(t *testing.T) {
 	// instantiation binds two PlaceBids to the same bid but different
 	// buyers — impossible under the foreign key, which is exactly why the
 	// FK-aware analysis certifies {PB} robust (Figure 6).
-	res, err := Witness(b.Schema, w, Options{ExtraInstances: true, IgnoreFKs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != Realized {
-		t.Fatalf("outcome = %s (instances %v, explored %d)", res.Outcome, res.Instances, res.Explored)
+	if res, _ := realizeWitness(t, b, w, true, 0); !res.Found {
+		t.Fatalf("no candidate realized {PB} without FKs (explored %d)", res.Explored)
 	}
 	// With the foreign key enforced during instantiation, the same witness
 	// must NOT realize: the buyer-row lock serializes the two PlaceBids.
-	res, err = Witness(b.Schema, w, Options{ExtraInstances: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome == Realized {
-		t.Fatalf("FK-respecting instantiation realized an impossible schedule:\n%s", res.Schedule)
+	if res, name := realizeWitness(t, b, w, false, 0); res.Found {
+		t.Fatalf("FK-respecting candidate %s realized an impossible schedule:\n%s", name, res.Schedule)
 	}
 }
 
@@ -111,15 +113,8 @@ func TestRealizeAuctionWithoutFK(t *testing.T) {
 func TestRealizeDeliveryBTPLevel(t *testing.T) {
 	b := benchmarks.TPCC()
 	w := witnessFor(t, b, summary.SettingAttrDepFK, "Delivery")
-	res, err := Witness(b.Schema, w, Options{MaxSchedules: 200_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != Realized {
-		t.Fatalf("outcome = %s (%s): the BTP-level Delivery witness should realize", res.Outcome, res.Note)
-	}
-	if !res.Schedule.AllowedUnderMVRC() || res.Graph.IsConflictSerializable() {
-		t.Fatal("realized schedule must be MVRC-allowed and non-serializable")
+	if res, _ := realizeWitness(t, b, w, false, 200_000); !res.Found {
+		t.Fatalf("the BTP-level Delivery witness should realize (explored %d)", res.Explored)
 	}
 }
 
@@ -214,15 +209,39 @@ func realizeCandidates(t *testing.T, b *benchmarks.Benchmark, w *summary.Witness
 	return cands, errs
 }
 
-// TestRealizeRejectsEmptyWitness documents the precondition.
+// TestRealizeRejectsEmptyWitness documents the precondition: an empty
+// witness yields no candidate, only an error.
 func TestRealizeRejectsEmptyWitness(t *testing.T) {
 	b := benchmarks.Auction()
-	if _, err := Witness(b.Schema, nil, Options{}); err == nil {
-		t.Fatal("nil witness accepted")
+	for _, w := range []*summary.Witness{nil, {}} {
+		if cands, errs := CandidateSets(b.Schema, w, Options{}); len(cands) != 0 || len(errs) == 0 {
+			t.Fatalf("witness %v: %d candidates, errors %v", w, len(cands), errs)
+		}
 	}
-	if _, err := Witness(b.Schema, &summary.Witness{}, Options{}); err == nil {
-		t.Fatal("empty witness accepted")
+}
+
+// TestCandidateSetsStatementlessCycle: a cycle whose edges name only
+// their LTPs still yields the canonical instances in cycle order; the
+// guided strategy, which follows the edges' statements, reports an error
+// instead of failing on the missing ones.
+func TestCandidateSetsStatementlessCycle(t *testing.T) {
+	b := benchmarks.SmallBank()
+	ltps := btp.UnfoldAll(b.Programs, 0)
+	ltps = append(ltps, ltps[0])
+	cycle := make([]summary.Edge, len(ltps))
+	for i, l := range ltps {
+		cycle[i] = summary.Edge{From: l, To: ltps[(i+1)%len(ltps)]}
 	}
+	cands, errs := CandidateSets(b.Schema, &summary.Witness{Cycle: cycle}, Options{})
+	if len(cands) != 1 || cands[0].Name != "canonical" || len(errs) != 1 || !strings.Contains(errs[0].Error(), "guided") {
+		t.Fatalf("%d candidates, errors %v; want the canonical one and a guided error", len(cands), errs)
+	}
+	for i, inst := range cands[0].Instances {
+		if inst.LTP != ltps[i] {
+			t.Fatalf("instance %d is %s, want %s", i, inst.LTP.Name, ltps[i].Name)
+		}
+	}
+	instantiateAll(t, b, cands[0].Instances)
 }
 
 // TestCandidateSetsDeterministic: the +extra instances follow the witness

@@ -1,11 +1,13 @@
 package replay
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/benchmarks"
 	"repro/internal/btp"
+	"repro/internal/enumerate"
 	"repro/internal/realize"
 	"repro/internal/robust"
 	"repro/internal/schedule"
@@ -13,7 +15,7 @@ import (
 
 // realizedCounterexample produces a concrete counterexample schedule for a
 // non-robust SmallBank subset.
-func realizedCounterexample(t *testing.T, names ...string) (*benchmarks.Benchmark, *realize.Result) {
+func realizedCounterexample(t *testing.T, names ...string) (*benchmarks.Benchmark, *enumerate.Result) {
 	t.Helper()
 	b := benchmarks.SmallBank()
 	var programs []*btp.Program
@@ -28,12 +30,17 @@ func realizedCounterexample(t *testing.T, names ...string) (*benchmarks.Benchmar
 	if res.Robust {
 		t.Fatalf("%v unexpectedly robust", names)
 	}
-	r, err := realize.Witness(b.Schema, res.Witness, realize.Options{ExtraInstances: true})
+	cands, errs := realize.CandidateSets(b.Schema, res.Witness, realize.Options{ExtraInstances: true})
+	var lists [][]enumerate.Instance
+	for _, c := range cands {
+		lists = append(lists, c.Instances)
+	}
+	r, _, err := enumerate.FindAnyCounterexampleCtx(context.Background(), b.Schema, lists, 0, enumerate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Outcome != realize.Realized {
-		t.Fatalf("no counterexample realized for %v (%s)", names, r.Outcome)
+	if !r.Found {
+		t.Fatalf("no counterexample realized for %v (candidate errors %v)", names, errs)
 	}
 	return b, r
 }

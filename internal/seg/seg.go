@@ -153,15 +153,6 @@ func dependency(s *schedule.Schedule, b, a *schedule.Op) (Dep, bool) {
 	return Dep{From: b, To: a, Kind: kind, Counterflow: counterflow}, true
 }
 
-// Edges returns the transaction-level edge set (deduplicated).
-func (g *Graph) Edges() map[[2]*schedule.Transaction]bool {
-	out := map[[2]*schedule.Transaction]bool{}
-	for _, d := range g.Deps {
-		out[[2]*schedule.Transaction{d.From.Txn, d.To.Txn}] = true
-	}
-	return out
-}
-
 // Cycle is a simple cycle of transactions together with one chosen
 // dependency per consecutive pair (the last dependency returns to the
 // first transaction).
@@ -406,14 +397,3 @@ func (g *Graph) HasCycle() bool {
 // IsConflictSerializable reports whether the schedule is conflict
 // serializable (Theorem 3.2: SeG(s) acyclic).
 func (g *Graph) IsConflictSerializable() bool { return !g.HasCycle() }
-
-// CounterflowDeps returns the counterflow dependencies of the graph.
-func (g *Graph) CounterflowDeps() []Dep {
-	var out []Dep
-	for _, d := range g.Deps {
-		if d.Counterflow {
-			out = append(out, d)
-		}
-	}
-	return out
-}

@@ -23,9 +23,9 @@
 // size-weighted eviction over per-workload memory estimates, never evicting
 // a workload with a request in flight.
 //
-// Checks and subset enumerations run on their request's goroutine; the
-// -parallel option (Options.Parallelism) bounds only the concurrent
-// candidate searches of a /certify request.
+// Every analysis request — check, subsets, stream and certify — runs on
+// its request's goroutine; a /certify request searches its candidates in
+// order.
 //
 // API (JSON over HTTP; see internal/wire for the body types):
 //
@@ -82,10 +82,6 @@ type Options struct {
 	// MaxWorkloads caps the registry; the least recently used workload is
 	// evicted beyond it. 0 means DefaultMaxWorkloads.
 	MaxWorkloads int
-	// Parallelism bounds the concurrent candidate searches of each
-	// /certify request; 0 means GOMAXPROCS. Checks and subset
-	// enumerations run on their request's goroutine.
-	Parallelism int
 	// RequestTimeout bounds each analysis request; 0 means
 	// DefaultRequestTimeout, negative means no deadline beyond the
 	// client's own. Every request therefore runs under a deadline unless
@@ -1194,10 +1190,7 @@ func (s *Server) handleCertify(rw http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	tracer, recorder := s.requestTracer(r)
 	cfg.Tracer = tracer
-	res, err := certify.Subset(ctx, w.session(), cfg, programs, certify.Options{
-		MaxSchedules: budget,
-		Parallelism:  s.opts.Parallelism,
-	})
+	res, err := certify.Subset(ctx, w.session(), cfg, programs, certify.Options{MaxSchedules: budget})
 	if err != nil {
 		s.analysisError(rw, r, err)
 		return

@@ -83,9 +83,9 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/btp"
+	"repro/internal/certify"
 	"repro/internal/dot"
 	"repro/internal/obs"
-	"repro/internal/realize"
 	"repro/internal/relschema"
 	"repro/internal/robust"
 	"repro/internal/server"
@@ -120,10 +120,9 @@ type (
 	Session = analysis.Session
 	// Server is the resident robustness service behind cmd/robustserved.
 	Server = server.Server
-	// ServerOptions configures a Server: registry cap, the concurrent
-	// candidate searches of a certification, per-request timeout, the
-	// snapshot directory for restart persistence (StateDir) and the
-	// estimated-memory eviction budget (MaxBytes).
+	// ServerOptions configures a Server: registry cap, per-request
+	// timeout, the snapshot directory for restart persistence (StateDir)
+	// and the estimated-memory eviction budget (MaxBytes).
 	ServerOptions = server.Options
 	// StreamMode selects how much of the subset lattice a streaming
 	// enumeration traverses (all, first_non_robust, all_maximal_robust,
@@ -324,20 +323,17 @@ func SummaryGraphDOT(r *Report, edgeLabels bool) string {
 	return dot.SummaryGraph(r.Graph, dot.Options{EdgeLabels: edgeLabels, CollapseParallel: true})
 }
 
-// Realize attempts to turn a non-robust report into a concrete
-// counterexample schedule by exhaustive search over a canonical
-// instantiation of the witness cycle (see internal/realize). A Realized
-// outcome proves the program set non-robust at the BTP level; a Refuted
-// outcome flags a possible false negative of the sound analysis.
-func Realize(schema *Schema, r *Report) (*realize.Result, error) {
+// Realize certifies a non-robust report: it instantiates the witness cycle
+// (see internal/realize), searches the candidates' MVRC interleavings for
+// a non-serializable schedule and replays it on the MVCC engine (see
+// internal/certify). A Certified result proves the program set non-robust
+// at the BTP level; an Unrealized one whose reason starts "exhausted"
+// flags a possible false negative of the sound analysis.
+func Realize(schema *Schema, r *Report) (*certify.Result, error) {
 	if r.Robust {
 		return nil, fmt.Errorf("mvrc: nothing to realize — the program set is robust")
 	}
-	ignoreFKs := !r.Graph.Setting.UseForeignKeys
-	return realize.Witness(schema, r.Witness, realize.Options{
-		ExtraInstances: true,
-		IgnoreFKs:      ignoreFKs,
-	})
+	return certify.Witness(context.Background(), schema, r.Graph.Setting, r.Witness, certify.Options{})
 }
 
 // Explain renders a human-readable verdict, including a dangerous cycle
